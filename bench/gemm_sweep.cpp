@@ -3,9 +3,8 @@
 // dense-MLP and CNN-im2col shapes that dominate Table 1 / fig6 / fig7
 // runtime, and emits machine-readable BENCH_gemm.json.
 //
-// Unlike bench_micro_substrate this needs no google-benchmark, so CI can
-// always build it; tools/bench_gate.py consumes the JSON and fails the
-// bench-regression job when a shape regresses against bench/baselines/.
+// tools/bench_gate.py consumes the JSON and fails the bench-regression job
+// when a shape regresses against bench/baselines/.
 //
 // The gate metric is `speedup_st` = reference-serial time / blocked time on
 // a 1-thread pool: a same-machine ratio, so it transfers across runner
@@ -43,18 +42,37 @@
 #include "common/hostinfo.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "gemm_shapes.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_tune.hpp"
 
 namespace {
 
 using namespace fedhisyn;
-using bench::GemmShape;
-using Variant = bench::GemmVariant;
 
-// Shape table shared with bench_micro_substrate: bench/gemm_shapes.hpp.
-constexpr auto& kShapes = bench::kGemmSweepShapes;
+enum class Variant { kNN, kNT, kTN };
+
+struct GemmShape {
+  const char* name;
+  Variant variant;
+  std::int64_t m, k, n;
+};
+
+// The swept shapes: dense-MLP forward/backward at laptop and full batch, and
+// the CNN im2col family (forward, filter-gradient, column-gradient) at a
+// paper-scale conv layer (128 -> 64 channels, 3x3 kernel, 32x32 output:
+// k = 128*3*3, n = 32*32).  cnn_im2col is the acceptance shape (k >= 256,
+// n >= 256).  Shape names are the keys of bench/baselines/BENCH_gemm.json —
+// renaming or removing one requires a baseline refresh (see README
+// "Performance").
+constexpr GemmShape kShapes[] = {
+    {"mlp_fwd", Variant::kNN, 50, 64, 200},
+    {"mlp_fwd_big", Variant::kNN, 256, 64, 200},
+    {"mlp_bwd_dw", Variant::kTN, 64, 256, 200},
+    {"mlp_bwd_dx", Variant::kNT, 256, 200, 64},
+    {"cnn_im2col", Variant::kNN, 64, 1152, 1024},
+    {"cnn_dfilters", Variant::kNT, 64, 1024, 1152},
+    {"cnn_dcols", Variant::kTN, 1152, 64, 1024},
+};
 
 // The pre-blocking per-row kernels, kept verbatim as the measurement
 // reference (serial; the old `a == 0` skip never fires on the random

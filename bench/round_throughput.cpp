@@ -1,17 +1,17 @@
-// Async round throughput: serial-drain vs speculative RoundGraph execution
-// for the event-driven methods (TAFedAvg, FedAsync) across fleet sizes, and
-// emits machine-readable BENCH_rounds.json.
+// Async round throughput of the RoundGraph wavefront engine for the
+// event-driven methods (TAFedAvg, FedAsync) across fleet sizes: the same
+// engine on a 1-thread pool (the best serial run) against an N-thread pool,
+// emitted as machine-readable BENCH_rounds.json.
 //
-// Needs no google-benchmark, so CI can always build it; tools/bench_gate.py
-// consumes the JSON and fails the bench-regression job when an entry
-// regresses against bench/baselines/BENCH_rounds.json.
+// tools/bench_gate.py consumes the JSON and fails the bench-regression job
+// when an entry regresses against bench/baselines/BENCH_rounds.json.
 //
 // The gate metric is `speedup_model` = trained jobs / parallel dispatch
-// slots of the speculative schedule (RoundGraphStats::dispatch_slots): the
+// slots of the N-thread schedule (RoundGraphStats::dispatch_slots): the
 // overlap factor the wavefront scheduler achieves at the configured thread
 // count.  It is a deterministic property of (fleet build, thread count) —
 // byte-stable across machines and immune to runner noise — so it gates the
-// *scheduler*, not the host.  Wall-clock rounds/sec for both modes are
+// *scheduler*, not the host.  Wall-clock rounds/sec on 1 and N threads are
 // emitted alongside as informational fields (on a pool with as many free
 // physical cores as FEDHISYN_THREADS, `speedup_wall` tracks
 // `speedup_model`).
@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/hostinfo.hpp"
 #include "common/parallel.hpp"
 #include "core/presets.hpp"
@@ -46,10 +47,8 @@ struct Config {
 
 // Paper-scale is 100 devices with per-round epochs uniform in [5, 50]
 // (§6.1); the smaller fleets show how overlap grows with fleet size.  The
-// 8-device fleet runs on an 8-thread pool: only when threads exceed the
-// ready-wave width do idle slots appear, and that is where speculative
-// pre-training launches (the `speculated`/`accepted`/`reruns` fields) —
-// wider fleets keep every slot busy with ready jobs and never guess.
+// 8-device fleet runs on an 8-thread pool, wider than its ready waves, so
+// its overlap factor is bounded by the schedule rather than the pool.
 constexpr Config kConfigs[] = {
     {"TAFedAvg", 8, 8},  {"TAFedAvg", 25}, {"TAFedAvg", 50}, {"TAFedAvg", 100},
     {"FedAsync", 8, 8},  {"FedAsync", 25}, {"FedAsync", 50}, {"FedAsync", 100},
@@ -60,13 +59,12 @@ struct Measurement {
   core::RoundGraphStats stats;  // summed over the measured rounds
 };
 
-/// Run `rounds` rounds on a fresh algorithm, `repeat` times; keep the
-/// fastest run's time and its (deterministic) summed stats.
+/// Run `rounds` rounds on a fresh algorithm on the bound pool, `repeat`
+/// times; keep the fastest run's time and its (deterministic) summed stats.
 Measurement measure(const core::BuiltExperiment& built, const Config& config,
-                    bool speculate, int rounds, int repeat) {
+                    int rounds, int repeat) {
   using clock = std::chrono::steady_clock;
-  core::FlOptions opts;
-  opts.speculate = speculate;
+  const core::FlOptions opts;
   Measurement best;
   best.ms_per_round = 1e30;
   for (int r = 0; r < repeat; ++r) {
@@ -79,9 +77,6 @@ Measurement measure(const core::BuiltExperiment& built, const Config& config,
       total.jobs += stats.jobs;
       total.waves += stats.waves;
       total.dispatch_slots += stats.dispatch_slots;
-      total.speculated += stats.speculated;
-      total.accepted += stats.accepted;
-      total.reruns += stats.reruns;
     }
     const double ms =
         std::chrono::duration<double, std::milli>(clock::now() - start).count() /
@@ -149,17 +144,21 @@ int main(int argc, char** argv) {
     build.partition.beta = 0.3;
     const auto built = core::build_experiment(build);
 
-    const auto serial = measure(*built, config, /*speculate=*/false, rounds, repeat);
-    const auto spec = measure(*built, config, /*speculate=*/true, rounds, repeat);
+    const auto overlap = measure(*built, config, rounds, repeat);
+    const auto serial = [&] {
+      ParallelExecutor one(1);
+      ParallelExecutor::Bind bind_one(one);
+      return measure(*built, config, rounds, repeat);
+    }();
 
     const double jobs_per_round =
-        static_cast<double>(spec.stats.jobs) / rounds;
+        static_cast<double>(overlap.stats.jobs) / rounds;
     const double speedup_model =
-        static_cast<double>(spec.stats.jobs) /
-        static_cast<double>(spec.stats.dispatch_slots > 0
-                                ? spec.stats.dispatch_slots
-                                : spec.stats.jobs);
-    const double speedup_wall = serial.ms_per_round / spec.ms_per_round;
+        static_cast<double>(overlap.stats.jobs) /
+        static_cast<double>(overlap.stats.dispatch_slots > 0
+                                ? overlap.stats.dispatch_slots
+                                : overlap.stats.jobs);
+    const double speedup_wall = serial.ms_per_round / overlap.ms_per_round;
 
     char line[512];
     std::snprintf(
@@ -167,24 +166,22 @@ int main(int argc, char** argv) {
         "    {\"name\": \"%s/d%zu\", \"method\": \"%s\", \"devices\": %zu, "
         "\"threads\": %zu, "
         "\"jobs_per_round\": %.1f, \"waves_per_round\": %.1f, "
-        "\"speculated\": %zu, \"accepted\": %zu, \"reruns\": %zu, "
-        "\"serial_ms_per_round\": %.3f, \"spec_ms_per_round\": %.3f, "
-        "\"rounds_per_sec_serial\": %.3f, \"rounds_per_sec_spec\": %.3f, "
+        "\"serial_ms_per_round\": %.3f, \"overlap_ms_per_round\": %.3f, "
+        "\"rounds_per_sec_serial\": %.3f, \"rounds_per_sec_overlap\": %.3f, "
         "\"speedup_wall\": %.3f, \"speedup_model\": %.3f}",
         config.method, config.devices, config.method, config.devices,
         pool_threads, jobs_per_round,
-        static_cast<double>(spec.stats.waves) / rounds,
-        spec.stats.speculated, spec.stats.accepted, spec.stats.reruns,
-        serial.ms_per_round, spec.ms_per_round, 1000.0 / serial.ms_per_round,
-        1000.0 / spec.ms_per_round, speedup_wall, speedup_model);
+        static_cast<double>(overlap.stats.waves) / rounds,
+        serial.ms_per_round, overlap.ms_per_round, 1000.0 / serial.ms_per_round,
+        1000.0 / overlap.ms_per_round, speedup_wall, speedup_model);
     if (!first) json += ",\n";
     first = false;
     json += line;
     std::fprintf(stderr,
                  "%-14s %3zu devices  %6.1f jobs/round  serial %8.2f ms  "
-                 "spec %8.2f ms  wall %5.2fx  model %5.2fx\n",
+                 "overlap %8.2f ms  wall %5.2fx  model %5.2fx\n",
                  config.method, config.devices, jobs_per_round,
-                 serial.ms_per_round, spec.ms_per_round, speedup_wall,
+                 serial.ms_per_round, overlap.ms_per_round, speedup_wall,
                  speedup_model);
   }
   json += "\n  ]\n}\n";

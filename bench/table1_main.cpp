@@ -13,8 +13,8 @@
 //                     results are byte-identical to a serial run)
 //   --threads N       total worker-thread budget (FEDHISYN_THREADS fallback)
 //   --out PATH        per-cell results as JSONL (or CSV with *.csv)
-//   --part 100,50     restrict participation %  (FEDHISYN_TABLE1_PART)
-//   --dataset a,b     restrict datasets         (FEDHISYN_TABLE1_DATASET)
+//   --part 100,50     restrict participation %
+//   --dataset a,b     restrict datasets
 //   --partition x,y   restrict partitions: iid | dir<beta>
 //   --list-methods    print the registered algorithms and exit
 //   FEDHISYN_FULL=1   paper-scale (100 devices, 100/150 rounds)

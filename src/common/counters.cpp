@@ -1,5 +1,6 @@
 #include "common/counters.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -69,7 +70,8 @@ std::uint64_t Histogram::quantile(double q) const {
   for (std::size_t b = 0; b < kBuckets; ++b) {
     seen += bucket(b);
     if (seen >= rank) {
-      return b == 0 ? 0 : (std::uint64_t{1} << b) - 1;  // bucket upper bound
+      const std::uint64_t upper = b == 0 ? 0 : (std::uint64_t{1} << b) - 1;
+      return std::min(upper, max());
     }
   }
   return max();

@@ -45,8 +45,9 @@ class Counter {
 /// A histogram over unsigned 64-bit samples (the repo records microseconds)
 /// with power-of-two buckets: bucket b counts samples in [2^(b-1), 2^b)
 /// (bucket 0 counts zero).  Quantiles are resolved to a bucket's upper
-/// bound, so p50/p95 are upper estimates within a 2x factor — plenty for a
-/// progress ticker; exact min/max/mean come from the dedicated fields.
+/// bound clamped to max(), so p50/p95 are upper estimates within a 2x
+/// factor that never exceed the largest sample — plenty for a progress
+/// ticker; exact min/max/mean come from the dedicated fields.
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 64;
@@ -56,8 +57,8 @@ class Histogram {
   std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   std::uint64_t min() const;
   std::uint64_t max() const { return max_.load(std::memory_order_relaxed); }
-  /// Upper bound of the bucket holding the q-quantile (q in [0,1]);
-  /// 0 when empty.
+  /// Upper bound of the bucket holding the q-quantile (q in [0,1]),
+  /// clamped to max(); 0 when empty.
   std::uint64_t quantile(double q) const;
   std::uint64_t bucket(std::size_t b) const {
     return buckets_[b].load(std::memory_order_relaxed);

@@ -28,34 +28,11 @@ double env_double(const std::string& name, double fallback) {
   return parsed;
 }
 
-bool speculate_from_env() {
-  const char* value = std::getenv("FEDHISYN_SPECULATE");
-  if (value == nullptr) return true;
-  return !(std::strcmp(value, "0") == 0 || std::strcmp(value, "off") == 0 ||
-           std::strcmp(value, "false") == 0);
-}
-
 bool quiet_from_env() {
   const char* value = std::getenv("FEDHISYN_QUIET");
   if (value == nullptr || value[0] == '\0') return false;
   return !(std::strcmp(value, "0") == 0 || std::strcmp(value, "off") == 0 ||
            std::strcmp(value, "false") == 0);
-}
-
-GemmTune gemm_tune_from_env() {
-  GemmTune tune;
-  const char* value = std::getenv("FEDHISYN_GEMM_TUNE");
-  if (value == nullptr) return tune;
-  char* end = nullptr;
-  const long nc = std::strtol(value, &end, 10);
-  if (end == value || nc <= 0) return tune;
-  tune.nc = nc;
-  if (*end == 'x' || *end == 'X' || *end == ':') {
-    const char* rest = end + 1;
-    const long rows = std::strtol(rest, &end, 10);
-    if (end != rest && rows > 0) tune.rows = rows;
-  }
-  return tune;
 }
 
 std::string gemm_kernel_from_env() {

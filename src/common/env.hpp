@@ -3,11 +3,6 @@
 // Knobs recognised across the library:
 //   FEDHISYN_FULL=1          paper-scale experiment sizes (see presets.hpp)
 //   FEDHISYN_THREADS=N       worker-pool size (see common/parallel.hpp)
-//   FEDHISYN_SPECULATE=0|off run event-driven async rounds as the legacy
-//                            serial drain instead of the overlapped
-//                            speculative RoundGraph schedule (results are
-//                            byte-identical either way; see
-//                            core/round_graph.hpp).  Default: on.
 //   FEDHISYN_GRID_JOBS=N     concurrent grid cells (see exp/scheduler.hpp)
 //   FEDHISYN_DISPATCH=thread|process|tcp
 //                            grid cell backend: in-process worker threads
@@ -45,13 +40,6 @@
 //                            the built-in defaults.  A cache recorded for a
 //                            different variant is ignored with a warning;
 //                            tunings change scheduling only, never bytes.
-//   FEDHISYN_GEMM_TUNE=NC[xROWS]
-//                            blocked-GEMM tile sizes (see tensor/gemm.cpp):
-//                            NC = column-panel width, ROWS = rows per parallel
-//                            task, overriding defaults and tuning cache alike.
-//                            Tuning changes scheduling and pack-buffer
-//                            shapes only, never the per-element reduction
-//                            order, so results stay bit-identical.
 //   FEDHISYN_BUILD_CACHE_MB=M
 //                            byte budget (MiB, fractional allowed) of the
 //                            BuiltExperiment cache every execution backend
@@ -85,24 +73,9 @@ long env_long(const std::string& name, long fallback);
 /// unset/invalid).
 double env_double(const std::string& name, double fallback);
 
-/// FEDHISYN_SPECULATE: false when set to "0", "off" or "false", true
-/// otherwise (including unset) — speculative round execution is the default.
-bool speculate_from_env();
-
 /// FEDHISYN_QUIET: true when set to anything but "0"/"off"/"false"/empty —
 /// the dispatch workers then skip their per-build cache log lines.
 bool quiet_from_env();
-
-/// Blocked-GEMM tiling knobs.  Zero fields mean "use the kernel's default";
-/// the kernel clamps and rounds to micro-tile multiples.
-struct GemmTune {
-  long nc = 0;    // column-panel width (rounded up to the register tile width)
-  long rows = 0;  // rows per parallel task (rounded up to the register tile height)
-};
-
-/// Parse FEDHISYN_GEMM_TUNE ("NC" or "NCxROWS", e.g. "256x8").  Unset or
-/// malformed fields come back as 0 (kernel default).
-GemmTune gemm_tune_from_env();
 
 /// FEDHISYN_GEMM_KERNEL: the requested GEMM kernel variant spec ("auto" when
 /// unset; see tensor/gemm_tune.hpp for the grammar).

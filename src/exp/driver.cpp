@@ -47,10 +47,10 @@ std::vector<std::string> split_host_list(const std::string& text) {
 }  // namespace
 
 GridDriverOptions handle_grid_flags(const Flags& flags) {
-  // Cache knobs ride on env vars (like --speculate below) and must be set
-  // before the worker branches: a --serve worker or a self-exec'd
-  // --worker-cell child reads them from its environment, and process workers
-  // inherit the coordinator's.
+  // Cache knobs ride on env vars and must be set before the worker
+  // branches: a --serve worker or a self-exec'd --worker-cell child reads
+  // them from its environment, and process workers inherit the
+  // coordinator's.
   if (flags.get_bool("quiet")) setenv("FEDHISYN_QUIET", "1", /*overwrite=*/1);
   if (flags.has("build-cache-mb")) {
     const double mb = flags.get_double("build-cache-mb", -1.0);
@@ -101,19 +101,6 @@ GridDriverOptions handle_grid_flags(const Flags& flags) {
     const long threads = flags.get_long("threads", 0);
     ParallelExecutor::global().set_thread_count(
         threads > 0 ? static_cast<std::size_t>(threads) : 1);
-  }
-  if (flags.has("speculate")) {
-    // The knob rides on the env var so every FlOptions constructed after
-    // flag handling — grid cells included — picks it up without each driver
-    // threading a field through (mirrors how --threads resizes the global
-    // pool).  Results are byte-identical either way; this is the A/B switch
-    // between the speculative RoundGraph schedule and the serial drain.
-    const std::string value = flags.get("speculate", "on");
-    FEDHISYN_CHECK_MSG(value == "on" || value == "off" || value == "1" ||
-                           value == "0" || value == "true" || value == "false",
-                       "--speculate takes on|off, got '" << value << "'");
-    const bool on = value == "on" || value == "1" || value == "true";
-    setenv("FEDHISYN_SPECULATE", on ? "1" : "0", /*overwrite=*/1);
   }
   GridDriverOptions options;
   const long jobs =
@@ -259,15 +246,8 @@ std::vector<CellResult> run_grid(const std::vector<ExperimentSpec>& specs,
 }
 
 std::vector<std::string> list_flag(const Flags& flags, const std::string& key,
-                                   const char* env_fallback,
                                    std::vector<std::string> defaults) {
-  std::string raw;
-  if (flags.has(key)) {
-    raw = flags.get(key, "");
-  } else if (env_fallback != nullptr) {
-    const char* value = std::getenv(env_fallback);
-    if (value != nullptr) raw = value;
-  }
+  const std::string raw = flags.get(key, "");
   if (raw.empty()) return defaults;
   auto items = split_list(raw);
   FEDHISYN_CHECK_MSG(!items.empty(), "--" << key << " given an empty list");
@@ -276,12 +256,12 @@ std::vector<std::string> list_flag(const Flags& flags, const std::string& key,
 
 std::vector<std::string> datasets_from_flags(const Flags& flags,
                                              std::vector<std::string> defaults) {
-  return list_flag(flags, "dataset", "FEDHISYN_TABLE1_DATASET", std::move(defaults));
+  return list_flag(flags, "dataset", std::move(defaults));
 }
 
 std::vector<double> participations_from_flags(const Flags& flags,
                                               std::vector<double> defaults) {
-  const auto items = list_flag(flags, "part", "FEDHISYN_TABLE1_PART", {});
+  const auto items = list_flag(flags, "part", {});
   if (items.empty()) return defaults;
   std::vector<double> fractions;
   for (const auto& item : items) {
@@ -297,7 +277,7 @@ std::vector<double> participations_from_flags(const Flags& flags,
 
 std::vector<data::PartitionConfig> partitions_from_flags(
     const Flags& flags, std::vector<data::PartitionConfig> defaults) {
-  const auto items = list_flag(flags, "partition", nullptr, {});
+  const auto items = list_flag(flags, "partition", {});
   if (items.empty()) return defaults;
   std::vector<data::PartitionConfig> partitions;
   for (const auto& item : items) {

@@ -46,10 +46,6 @@
 //                     autotuner-written GEMM tuning cache (bench_gemm_sweep
 //                     --tune; FEDHISYN_GEMM_TUNE_CACHE, which child workers
 //                     inherit).  Scheduling only — never changes result bytes
-//   --speculate on|off
-//                     async rounds on the speculative RoundGraph engine (on,
-//                     the default) or the legacy serial drain (off); results
-//                     are byte-identical (FEDHISYN_SPECULATE fallback)
 //   --list-methods    print the registered algorithms (one description line
 //                     each) and exit
 //   --gemm-info       print the resolved GEMM dispatch state (selected
@@ -64,11 +60,10 @@
 //                     announced on stdout) and serve --dispatch tcp
 //                     coordinators until killed
 //
-// Grid-restriction flags replace the old FEDHISYN_TABLE1_* getenv knobs;
-// the env vars remain as fallbacks for CI compatibility:
+// Grid-restriction flags:
 //
-//   --dataset a,b     restrict the dataset axis   (FEDHISYN_TABLE1_DATASET)
-//   --part 100,50     restrict participation %    (FEDHISYN_TABLE1_PART)
+//   --dataset a,b     restrict the dataset axis
+//   --part 100,50     restrict participation %
 //   --partition x,y   restrict partitions: iid | dir<beta> (e.g. dir0.3)
 #pragma once
 
@@ -125,19 +120,17 @@ GridDriverOptions handle_grid_flags(const Flags& flags);
 std::vector<CellResult> run_grid(const std::vector<ExperimentSpec>& specs,
                                  const GridDriverOptions& options);
 
-/// Comma-separated list flag with an env-var fallback: the flag value when
-/// present, else the env var `env_fallback` (when non-null and set), else
-/// `defaults`.
+/// Comma-separated list flag: the flag's items when given and non-empty,
+/// else `defaults`.
 std::vector<std::string> list_flag(const Flags& flags, const std::string& key,
-                                   const char* env_fallback,
                                    std::vector<std::string> defaults);
 
-/// --dataset restriction with the FEDHISYN_TABLE1_DATASET fallback.
+/// --dataset restriction.
 std::vector<std::string> datasets_from_flags(const Flags& flags,
                                              std::vector<std::string> defaults);
 
-/// --part restriction (percent values: "100,50,10") with the
-/// FEDHISYN_TABLE1_PART fallback.  Returns fractions in [0, 1].
+/// --part restriction (percent values: "100,50,10").  Returns fractions in
+/// [0, 1].
 std::vector<double> participations_from_flags(const Flags& flags,
                                               std::vector<double> defaults);
 

@@ -174,7 +174,6 @@ TEST(SpecJson, RoundTripPreservesEveryOffDefaultKnob) {
   spec.opts.prox_mu = 0.007f;
   spec.opts.momentum = 0.9f;
   spec.opts.async_alpha = 0.125f;
-  spec.opts.speculate = false;
   spec.target = 0.87654321f;
   spec.eval_every = 4;
 
@@ -186,7 +185,6 @@ TEST(SpecJson, RoundTripPreservesEveryOffDefaultKnob) {
   EXPECT_EQ(back.opts.participation, spec.opts.participation);
   EXPECT_EQ(back.build.fleet_kind, core::FleetKind::kHomogeneous);
   EXPECT_FALSE(back.opts.direct_use);
-  EXPECT_FALSE(back.opts.speculate);
   EXPECT_TRUE(back.build.mlp_hidden.empty());
 }
 

@@ -27,6 +27,7 @@
 #include "common/json.hpp"
 #include "common/net.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "common/subprocess.hpp"
 #include "common/trace.hpp"
 #include "exp/dispatch.hpp"
@@ -261,6 +262,22 @@ TEST(Counters, HistogramTracksCountSumBoundsAndQuantiles) {
   // {3,5,7,100} lands in [4,8) -> 7, and p100 covers 100 -> [64,128) -> 127.
   EXPECT_GE(h.quantile(1.0), 100u);
   EXPECT_GT(h.quantile(0.5), 0u);
+}
+
+TEST(Counters, HistogramQuantilesNeverExceedTheMax) {
+  // A bucket's upper bound can lie far above every sample in it (a max of
+  // 3051909 sits in the [2^21, 2^22) bucket, bound 4194303), so quantiles
+  // must clamp to the recorded max.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    counters::Histogram h;
+    const std::uint64_t samples = 1 + rng.uniform_index(200);
+    const std::uint64_t range = std::uint64_t{1} << (1 + rng.uniform_index(40));
+    for (std::uint64_t i = 0; i < samples; ++i) h.record(rng.uniform_index(range));
+    for (const double q : {0.0, 0.5, 0.9, 0.95, 0.99, 1.0}) {
+      EXPECT_LE(h.quantile(q), h.max()) << "seed=" << seed << " q=" << q;
+    }
+  }
 }
 
 TEST(Counters, WriteMetricsEmitsAParsableSortedDocument) {
