@@ -21,7 +21,6 @@
 //                             [--jobs N] [--repeat N]
 #include <algorithm>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -29,15 +28,13 @@
 #include <string>
 #include <vector>
 
-#include "common/check.hpp"
 #include "common/flags.hpp"
 #include "common/hostinfo.hpp"
-#include "common/net.hpp"
-#include "common/subprocess.hpp"
 #include "exp/driver.hpp"
 #include "tensor/gemm_tune.hpp"
 #include "exp/grid.hpp"
 #include "exp/scheduler.hpp"
+#include "../tests/serve_worker.hpp"
 
 namespace {
 
@@ -63,37 +60,6 @@ double run_backend(const std::vector<fedhisyn::exp::ExperimentSpec>& specs,
   options.backend = backend;
   return run_backend(specs, std::move(options), repeat);
 }
-
-/// A --serve worker self-exec'd on an ephemeral loopback port; endpoint
-/// parsed from its announce line, killed on destruction.
-class ServeWorker {
- public:
-  ServeWorker()
-      : proc_(std::vector<std::string>{fedhisyn::current_executable_path(),
-                                       "--serve", "127.0.0.1:0"},
-              {}) {
-    fedhisyn::net::LineReader announce(proc_.stdout_fd());
-    std::string line;
-    FEDHISYN_CHECK_MSG(
-        announce.read_line(&line, fedhisyn::net::Deadline::after(30.0)) ==
-            fedhisyn::net::LineReader::Status::kLine,
-        "--serve worker printed no announce line");
-    const std::string prefix = "fedhisyn-serve: listening on ";
-    FEDHISYN_CHECK_MSG(line.rfind(prefix, 0) == 0,
-                       "unexpected announce line: " << line);
-    endpoint_ = line.substr(prefix.size());
-  }
-  ~ServeWorker() {
-    proc_.kill(SIGKILL);
-    proc_.wait();
-  }
-
-  const std::string& endpoint() const { return endpoint_; }
-
- private:
-  fedhisyn::Subprocess proc_;
-  std::string endpoint_;
-};
 
 }  // namespace
 
@@ -137,11 +103,11 @@ int main(int argc, char** argv) {
   // framing costs of a real multi-host sweep without the network in between.
   double tcp_wall;
   {
-    ServeWorker worker_a;
-    ServeWorker worker_b;
+    exp::ServeWorker worker_a;
+    exp::ServeWorker worker_b;
     exp::GridScheduler::Options options;
     options.backend = exp::CellBackend::kTcp;
-    options.worker_hosts = {worker_a.endpoint(), worker_b.endpoint()};
+    options.worker_hosts = worker_a.endpoint() + "," + worker_b.endpoint();
     tcp_wall = run_backend(specs, std::move(options), repeat);
   }
 

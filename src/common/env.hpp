@@ -23,9 +23,11 @@
 //   FEDHISYN_CELL_TIMEOUT_S=S
 //                            per-cell deadline for the process/tcp dispatch
 //                            backends (fractional seconds; default off): a
-//                            worker that exceeds it is killed (process) or
-//                            disconnected (tcp) and the cell retried under
-//                            the same accounting as a crash.
+//                            worker that exceeds it has its socket shut down
+//                            (a local child is also killed) and the cell is
+//                            retried under the same accounting as a crash.
+//                            A plain number only — "5m" check-fails rather
+//                            than meaning 5 seconds.
 //   FEDHISYN_GEMM_KERNEL=auto|generic|avx2|avx512|neon[:MRxNR]
 //                            GEMM micro-kernel variant (tensor/gemm_tune.hpp).
 //                            "auto" (the default) picks the best ISA the CPU
@@ -66,11 +68,13 @@ namespace fedhisyn {
 /// the laptop-scale defaults.
 bool full_scale_enabled();
 
-/// Integer env var with default (returns `fallback` when unset/invalid).
+/// Integer env var with default: `fallback` when unset or empty; any other
+/// value that is not entirely an integer check-fails, naming the variable.
 long env_long(const std::string& name, long fallback);
 
-/// Floating-point env var with default (returns `fallback` when
-/// unset/invalid).
+/// Floating-point env var with default: `fallback` when unset or empty; any
+/// other value that is not entirely a number check-fails, naming the
+/// variable.
 double env_double(const std::string& name, double fallback);
 
 /// FEDHISYN_QUIET: true when set to anything but "0"/"off"/"false"/empty —

@@ -1,11 +1,14 @@
-// Subprocess: POSIX fork/exec with piped stdin/stdout, the process-level
-// half of the grid dispatch subsystem (exp/dispatch.*).
+// Subprocess: POSIX fork/exec with the child's stdin and stdout wired to one
+// end of a Unix socketpair, the process-level half of the grid dispatch
+// subsystem (exp/dispatch.*).
 //
 // The child inherits the parent's environment plus explicit "KEY=VALUE"
 // overrides, and inherits stderr directly — worker diagnostics interleave
-// with the parent's progress output instead of vanishing.  stdin/stdout are
-// pipes owned by this object; the protocol running over them is the
-// caller's business.
+// with the parent's progress output instead of vanishing.  The parent's end
+// of the socketpair is owned by this object: the same kind of full-duplex
+// stream socket a remote worker is reached over, so callers write with
+// net::write_all and signal EOF with shutdown(SHUT_WR).  The protocol
+// running over it is the caller's business.
 #pragma once
 
 #include <string>
@@ -30,28 +33,22 @@ std::string describe(const ExitStatus& status);
 
 class Subprocess {
  public:
-  /// Fork and exec `argv` (argv[0] is the binary path) with stdin/stdout
-  /// piped to the parent and `env_overrides` ("KEY=VALUE") layered over the
-  /// inherited environment.  Check-fails if the pipes or fork fail; a failed
-  /// exec surfaces as the child exiting with code 127.
+  /// Fork and exec `argv` (argv[0] is the binary path) with stdin/stdout on
+  /// a socketpair to the parent and `env_overrides` ("KEY=VALUE") layered
+  /// over the inherited environment.  Check-fails if the socketpair or fork
+  /// fail; a failed exec surfaces as the child exiting with code 127.
   Subprocess(const std::vector<std::string>& argv,
              const std::vector<std::string>& env_overrides);
+  /// SIGKILLs the child if it is still running, reaps it, closes fd().
   ~Subprocess();
 
   Subprocess(const Subprocess&) = delete;
   Subprocess& operator=(const Subprocess&) = delete;
 
   pid_t pid() const { return pid_; }
-  /// Parent-side pipe ends; -1 once closed.
-  int stdin_fd() const { return stdin_fd_; }
-  int stdout_fd() const { return stdout_fd_; }
-
-  /// Write all of `data` to the child's stdin.  Returns false when the child
-  /// closed its end (EPIPE) — i.e. it died; check-fails on other errors.
-  bool write_stdin(const std::string& data);
-
-  /// Close the parent's write end (EOF for the child's stdin loop).
-  void close_stdin();
+  /// Parent's end of the socketpair: writes reach the child's stdin, the
+  /// child's stdout arrives as reads.
+  int fd() const { return fd_; }
 
   /// Block until the child exits and reap it.  Idempotent.
   ExitStatus wait();
@@ -64,8 +61,7 @@ class Subprocess {
 
  private:
   pid_t pid_ = -1;
-  int stdin_fd_ = -1;
-  int stdout_fd_ = -1;
+  int fd_ = -1;
   ExitStatus status_;
 };
 

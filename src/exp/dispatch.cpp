@@ -10,7 +10,6 @@
 #include <deque>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <sstream>
 
 #include <poll.h>
@@ -362,11 +361,6 @@ std::string handle_request(const std::string& line, BuildCache* cache) {
   }
 }
 
-void ignore_sigpipe() {
-  static std::once_flag once;
-  std::call_once(once, [] { std::signal(SIGPIPE, SIG_IGN); });
-}
-
 /// Worker-side cache config: byte budget from FEDHISYN_BUILD_CACHE_MB
 /// (--build-cache-mb sets it before the worker branch runs), per-build
 /// hit/miss/evict log lines on stderr unless FEDHISYN_QUIET suppresses them.
@@ -378,78 +372,71 @@ BuildCache::Config worker_cache_config(const char* tag) {
 }
 
 /// The one request/response loop both worker modes share: greet, then answer
-/// one result line per request line until the peer goes away.  Returns 0 on
-/// clean EOF, 3 when the peer vanished mid-reply.
-int serve_stream(int in_fd, int out_fd, BuildCache* cache) {
-  if (!net::write_all(out_fd, encode_hello() + "\n")) return 3;
-  net::LineReader reader(in_fd);
+/// one result line per request line on the same socket until the peer goes
+/// away.  Returns 0 on clean EOF, 3 when the peer vanished mid-reply.
+int serve_stream(int fd, BuildCache* cache) {
+  if (!net::write_all(fd, encode_hello() + "\n")) return 3;
+  net::LineReader reader(fd);
   std::string line;
   for (;;) {
     if (reader.read_line(&line) != net::LineReader::Status::kLine) return 0;
     if (line.empty()) continue;
     const std::string response = handle_request(line, cache);
-    if (!net::write_all(out_fd, response + "\n")) return 3;
+    if (!net::write_all(fd, response + "\n")) return 3;
   }
 }
 
 // ---------------------------------------------------------- parent side --
 
-/// One worker as the shared dispatch loop sees it: a pollable response fd
-/// plus the few operations whose implementation differs between a child
-/// process on a pipe and a remote worker on a socket.
+/// One worker as the dispatch loop sees it: a connected stream socket, the
+/// endpoint it leads to, and — for a local worker — the child process on its
+/// other end.  Every send goes through net::write_all (MSG_NOSIGNAL), so a
+/// worker that vanished mid-send is a failed write, never a SIGPIPE.
 class WorkerLink {
  public:
-  virtual ~WorkerLink() = default;
-  virtual int fd() const = 0;
+  /// A self-exec'd `--worker-cell` child; its socketpair end is the link.
+  explicit WorkerLink(std::unique_ptr<Subprocess> child)
+      : fd_(child->fd()), endpoint_("process"), child_(std::move(child)) {}
+  /// A connected socket to a remote worker; the link owns `fd`.
+  WorkerLink(int fd, std::string endpoint) : fd_(fd), endpoint_(std::move(endpoint)) {}
+  /// A child still running is SIGKILLed and reaped by ~Subprocess, which
+  /// also closes its socket end.
+  ~WorkerLink() {
+    if (child_ == nullptr) ::close(fd_);
+  }
+  WorkerLink(const WorkerLink&) = delete;
+  WorkerLink& operator=(const WorkerLink&) = delete;
+
+  int fd() const { return fd_; }
+  const std::string& endpoint() const { return endpoint_; }
   /// False when the link is already dead — the EOF on fd() routes the cell
   /// through the death path, so callers just move on.
-  virtual bool send(const std::string& line) = 0;
-  /// Deadline enforcement: make the worker's EOF arrive now.
-  virtual void hard_kill() = 0;
-  /// Clean shutdown once no more work will be sent.
-  virtual void shutdown_clean() = 0;
+  bool send(const std::string& line) { return net::write_all(fd_, line); }
+  /// Deadline enforcement: make the worker's EOF arrive now.  A local child
+  /// is killed too, so describe_exit() can never wait on a wedged worker.
+  void hard_kill() {
+    ::shutdown(fd_, SHUT_RDWR);
+    if (child_ != nullptr) child_->kill(SIGKILL);
+  }
+  /// Clean shutdown once no more work will be sent: EOF ends the worker's
+  /// request loop, and a local child is reaped.
+  void shutdown_clean() {
+    ::shutdown(fd_, SHUT_WR);
+    if (child_ != nullptr) child_->wait();
+  }
   /// Post-mortem description after EOF, for retry diagnostics.
-  virtual std::string describe_exit() = 0;
-};
-
-class ProcessLink : public WorkerLink {
- public:
-  ProcessLink(const std::string& binary, const std::vector<std::string>& env)
-      : proc_(std::vector<std::string>{binary, "--worker-cell"}, env) {}
-  int fd() const override { return proc_.stdout_fd(); }
-  bool send(const std::string& line) override { return proc_.write_stdin(line); }
-  void hard_kill() override { proc_.kill(SIGKILL); }
-  void shutdown_clean() override {
-    proc_.close_stdin();
-    proc_.wait();
+  std::string describe_exit() {
+    return child_ != nullptr ? describe(child_->wait())
+                             : "connection lost to " + endpoint_;
   }
-  std::string describe_exit() override { return describe(proc_.wait()); }
-
- private:
-  Subprocess proc_;
-};
-
-class TcpLink : public WorkerLink {
- public:
-  TcpLink(int fd, std::string endpoint) : fd_(fd), endpoint_(std::move(endpoint)) {}
-  ~TcpLink() override { shutdown_clean(); }
-  int fd() const override { return fd_; }
-  bool send(const std::string& line) override { return net::write_all(fd_, line); }
-  void hard_kill() override { ::shutdown(fd_, SHUT_RDWR); }
-  void shutdown_clean() override {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
-  std::string describe_exit() override { return "connection lost to " + endpoint_; }
 
  private:
   int fd_;
   std::string endpoint_;
+  std::unique_ptr<Subprocess> child_;
 };
 
-/// Everything the shared loop needs from a backend.
+/// Everything the dispatch loop needs, resolved from Dispatcher::Options.
 struct DispatchConfig {
   std::size_t slots = 1;
   int max_attempts = 3;
@@ -461,31 +448,20 @@ struct DispatchConfig {
   /// (unreachable host); its work is reassigned to the surviving slots.
   std::function<std::unique_ptr<WorkerLink>(std::size_t)> connect;
   std::function<void(std::size_t, std::size_t, const CellResult&)> on_cell;
-  /// Human lane titles for the merged trace, one per slot ("worker 0
-  /// (process)", "worker 1 (host:port)"); empty = a generic name.
-  std::vector<std::string> slot_names;
 };
 
-/// The dispatch loop both backends run: feed idle ready workers in spec
-/// order, poll every live link, collect results by spec index, convert
-/// worker deaths and blown deadlines into bounded retries.  This is the one
-/// place deadline/retry semantics live, so the process and tcp paths can
-/// never drift apart.
+/// The dispatch loop: feed idle ready workers in spec order, poll every live
+/// link, collect results by spec index, convert worker deaths and blown
+/// deadlines into bounded retries.  This is the one place deadline/retry
+/// semantics live, for local and remote workers alike.
 ///
 /// Concurrency discipline (checked by review, not locks): the coordinator is
 /// strictly single-threaded — every Slot, the pending deque, attempts and
 /// results are touched only from this function's poll loop, so there is
 /// deliberately no mutex to annotate here.  Parallelism lives in the workers
-/// (other processes/hosts); the only shared-state primitive on the
-/// coordinator side is ignore_sigpipe()'s once_flag.
+/// (other processes/hosts).
 std::vector<CellResult> run_dispatch(const DispatchConfig& config,
                                      const std::vector<ExperimentSpec>& specs) {
-  // The coordinator itself must survive a peer vanishing mid-send: a write
-  // to a reset connection (worker killed mid-sweep) must fail with EPIPE and
-  // flow into the retry path, not raise SIGPIPE and kill the whole sweep.
-  // A pure TCP coordinator never constructs a Subprocess, so this cannot be
-  // left to the link implementations.
-  ignore_sigpipe();
   const std::size_t n = specs.size();
   std::vector<CellResult> results(n);
   if (n == 0) return results;
@@ -524,11 +500,6 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
     const std::int64_t start_us = trace::now_us();
     for (std::size_t i = 0; i < n; ++i) enqueue_us[i] = start_us;
   }
-  const auto lane_name = [&](std::size_t s) {
-    return s < config.slot_names.size() && !config.slot_names[s].empty()
-               ? config.slot_names[s]
-               : "worker " + std::to_string(s);
-  };
   // Precomputed once: the affinity pass in the feed loop compares keys per
   // idle slot per iteration.
   std::vector<std::string> build_keys;
@@ -633,10 +604,12 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
       // to coordinator time at the moment the request was fed.  Skew is the
       // request's network/decode latency — good enough to eyeball overlap.
       if (response.cell.telemetry.valid) {
-        trace::set_lane_name(1 + static_cast<int>(s), lane_name(s));
+        const int lane = 1 + static_cast<int>(s);
+        trace::set_lane_name(
+            lane, "worker " + std::to_string(s) + " (" + slot.link->endpoint() + ")");
         for (const CellTelemetrySpan& span : response.cell.telemetry.spans) {
-          trace::emit_foreign(1 + static_cast<int>(s), span.tid, span.name,
-                              span.cat, slot.feed_us + span.ts_us, span.dur_us);
+          trace::emit_foreign(lane, span.tid, span.name, span.cat,
+                              slot.feed_us + span.ts_us, span.dur_us);
         }
       }
     }
@@ -781,14 +754,12 @@ double cell_timeout_from_env() {
 }
 
 int worker_cell_main() {
-  // The protocol owns the real stdout; stray library prints (progress dots,
-  // tables) are re-routed to stderr so they cannot corrupt a response line.
-  const int proto_fd = ::dup(STDOUT_FILENO);
-  FEDHISYN_CHECK_MSG(proto_fd >= 0, "worker cannot dup stdout");
+  // The protocol runs both ways over stdin, the parent's socketpair end;
+  // stray library prints (progress dots, tables) on stdout are re-routed to
+  // stderr so they can never reach the parent.
   ::dup2(STDERR_FILENO, STDOUT_FILENO);
-  ignore_sigpipe();
   BuildCache cache(worker_cache_config("fedhisyn-worker"));
-  return serve_stream(STDIN_FILENO, proto_fd, &cache);
+  return serve_stream(STDIN_FILENO, &cache);
 }
 
 int serve_main(const std::string& bind_spec) {
@@ -804,7 +775,6 @@ int serve_main(const std::string& bind_spec) {
               static_cast<unsigned>(net::local_port(listen_fd)));
   std::fflush(stdout);
   ::dup2(STDERR_FILENO, STDOUT_FILENO);
-  ignore_sigpipe();
   // The cache outlives connections: the worker is resident, so back-to-back
   // sweeps (or a coordinator reconnect) reuse warm builds under the LRU byte
   // budget.
@@ -813,7 +783,7 @@ int serve_main(const std::string& bind_spec) {
     const int conn = net::tcp_accept(listen_fd);
     if (conn < 0) return 0;
     std::fprintf(stderr, "fedhisyn-serve: coordinator connected\n");
-    serve_stream(conn, conn, &cache);
+    serve_stream(conn, &cache);
     ::close(conn);
     const BuildCache::Stats stats = cache.stats();
     std::fprintf(stderr,
@@ -826,90 +796,54 @@ int serve_main(const std::string& bind_spec) {
   }
 }
 
-ProcessDispatcher::ProcessDispatcher(Options options) : options_(std::move(options)) {}
-
-int ProcessDispatcher::max_attempts_from_env() {
+int max_attempts_from_env() {
   const long retries = env_long("FEDHISYN_WORKER_RETRIES", 2);
   return retries >= 0 ? static_cast<int>(retries) + 1 : 3;
 }
 
-std::vector<CellResult> ProcessDispatcher::run(
-    const std::vector<ExperimentSpec>& specs) const {
+std::vector<net::HostPort> worker_endpoints(const std::string& list) {
+  const char* env = std::getenv("FEDHISYN_WORKERS");
+  const std::string csv = !list.empty() ? list : env != nullptr ? env : "";
+  FEDHISYN_CHECK_MSG(!csv.empty(),
+                     "--dispatch tcp needs worker endpoints: pass --workers "
+                     "host:port,... or set FEDHISYN_WORKERS");
+  return net::parse_host_list(csv, "127.0.0.1");
+}
+
+Dispatcher::Dispatcher(Options options) : options_(std::move(options)) {}
+
+std::vector<CellResult> Dispatcher::run(const std::vector<ExperimentSpec>& specs) const {
   const std::size_t n = specs.size();
   if (n == 0) return {};
 
-  const std::string binary =
-      options_.worker_binary.empty() ? current_executable_path() : options_.worker_binary;
+  const std::vector<net::HostPort>& hosts = options_.hosts;
+  const bool local = hosts.empty();
+  std::string binary = options_.worker_binary;
+  if (local && binary.empty()) binary = current_executable_path();
   std::vector<std::string> env;
   if (options_.threads_per_worker > 0) {
     env.push_back("FEDHISYN_THREADS=" + std::to_string(options_.threads_per_worker));
   }
 
   DispatchConfig config;
-  config.slots = std::clamp<std::size_t>(options_.workers, 1, n);
+  config.slots = std::clamp<std::size_t>(local ? options_.workers : hosts.size(), 1, n);
   config.max_attempts =
       options_.max_attempts > 0 ? options_.max_attempts : max_attempts_from_env();
   config.cell_timeout_s =
       options_.cell_timeout_s < 0 ? cell_timeout_from_env() : options_.cell_timeout_s;
   if (config.cell_timeout_s > 0) config.hello_grace_s = config.cell_timeout_s;
-  config.connect = [&](std::size_t) -> std::unique_ptr<WorkerLink> {
-    return std::make_unique<ProcessLink>(binary, env);
-  };
   config.on_cell = options_.on_cell;
-  config.slot_names.reserve(config.slots);
-  for (std::size_t s = 0; s < config.slots; ++s) {
-    config.slot_names.push_back("worker " + std::to_string(s) + " (process)");
-  }
-  return run_dispatch(config, specs);
-}
 
-TcpDispatcher::TcpDispatcher(Options options) : options_(std::move(options)) {}
-
-std::vector<std::string> TcpDispatcher::hosts_from_env() {
-  const char* value = std::getenv("FEDHISYN_WORKERS");
-  if (value == nullptr || value[0] == '\0') return {};
-  std::vector<std::string> hosts;
-  std::string item;
-  for (const char* c = value; *c != '\0'; ++c) {
-    if (*c == ',') {
-      if (!item.empty()) hosts.push_back(item);
-      item.clear();
-    } else if (*c != ' ') {
-      // Mirror net::parse_host_list: "a:1, b:2" must not yield host " b".
-      item.push_back(*c);
-    }
-  }
-  if (!item.empty()) hosts.push_back(item);
-  return hosts;
-}
-
-std::vector<CellResult> TcpDispatcher::run(
-    const std::vector<ExperimentSpec>& specs) const {
-  const std::size_t n = specs.size();
-  if (n == 0) return {};
-
-  const std::vector<std::string> raw =
-      options_.hosts.empty() ? hosts_from_env() : options_.hosts;
-  FEDHISYN_CHECK_MSG(!raw.empty(),
-                     "--dispatch tcp needs worker endpoints: pass --workers "
-                     "host:port,... or set FEDHISYN_WORKERS");
-  std::vector<net::HostPort> hosts;
-  hosts.reserve(raw.size());
-  for (const auto& spec : raw) hosts.push_back(net::parse_host_port(spec, "127.0.0.1"));
-
-  // First connect per host retries until the budget elapses (the worker may
-  // still be starting); a reconnect after a death gets a single try — a
-  // host that died mid-sweep is retired and its cells reassigned.
+  // A local slot (re)spawns its child on every open.  A remote slot's first
+  // connect retries until the budget elapses (the worker may still be
+  // starting); a reconnect after a death gets a single try — a host that
+  // died mid-sweep is retired and its cells reassigned.
   std::vector<char> first_connect(hosts.size(), 1);
-  DispatchConfig config;
-  config.slots = std::min(hosts.size(), n);
-  config.max_attempts = options_.max_attempts > 0
-                            ? options_.max_attempts
-                            : ProcessDispatcher::max_attempts_from_env();
-  config.cell_timeout_s =
-      options_.cell_timeout_s < 0 ? cell_timeout_from_env() : options_.cell_timeout_s;
-  if (config.cell_timeout_s > 0) config.hello_grace_s = config.cell_timeout_s;
   config.connect = [&](std::size_t s) -> std::unique_ptr<WorkerLink> {
+    if (local) {
+      return std::make_unique<WorkerLink>(std::make_unique<Subprocess>(
+          std::vector<std::string>{binary, "--worker-cell"}, env));
+    }
     const net::HostPort& host = hosts[s];
     const std::string endpoint = host.host + ":" + std::to_string(host.port);
     const bool keep_trying = first_connect[s] != 0;
@@ -917,7 +851,7 @@ std::vector<CellResult> TcpDispatcher::run(
     const net::Deadline budget = net::Deadline::after(options_.connect_timeout_s);
     for (;;) {
       const int fd = net::tcp_connect(host.host, host.port, budget);
-      if (fd >= 0) return std::make_unique<TcpLink>(fd, endpoint);
+      if (fd >= 0) return std::make_unique<WorkerLink>(fd, endpoint);
       if (!keep_trying || budget.expired()) {
         std::fprintf(stderr, "dispatch: cannot connect to worker %s\n",
                      endpoint.c_str());
@@ -926,13 +860,6 @@ std::vector<CellResult> TcpDispatcher::run(
       ::usleep(100 * 1000);  // the worker may still be binding its port
     }
   };
-  config.on_cell = options_.on_cell;
-  config.slot_names.reserve(config.slots);
-  for (std::size_t s = 0; s < config.slots; ++s) {
-    config.slot_names.push_back("worker " + std::to_string(s) + " (" +
-                                hosts[s].host + ":" +
-                                std::to_string(hosts[s].port) + ")");
-  }
   return run_dispatch(config, specs);
 }
 

@@ -2,30 +2,33 @@
 // GridScheduler's CellBackend seam (--dispatch=process|tcp /
 // FEDHISYN_DISPATCH).
 //
-// Process backend: the parent self-execs the current binary in a hidden
+// One Dispatcher, one worker link: every worker is a stream socket that
+// carries the same newline-JSON protocol.  Local workers (--dispatch
+// process): the parent self-execs the current binary in a hidden
 // `--worker-cell` mode (every grid driver reaches it through
-// exp::handle_grid_flags) and keeps a pool of persistent workers fed over
-// stdin/stdout pipes.  TCP backend: the coordinator connects to remote
-// workers started with `--serve [bind:]port` on other machines and speaks
-// the *identical* protocol over the sockets — the wire codec never assumed
-// shared memory, a filesystem or a machine, so going multi-host only swaps
-// the byte channel.
+// exp::handle_grid_flags) with the child's stdin/stdout on one end of a Unix
+// socketpair, and keeps a pool of persistent workers.  Remote workers
+// (--dispatch tcp): the coordinator connects to workers started with
+// `--serve [bind:]port` on other machines.  The wire codec never assumed
+// shared memory, a filesystem or a machine, so going multi-host only changes
+// how the socket is obtained.
 //
-// Both backends share one dispatch loop: cells travel as one line of JSON
-// (ExperimentSpec::to_json), results come back as one line of JSON, the
-// parent collects in spec order — so serial, --grid-jobs N, --dispatch
-// process and --dispatch tcp output files are byte-identical.
+// Cells travel as one line of JSON (ExperimentSpec::to_json), results come
+// back as one line of JSON, the parent collects in spec order — so serial,
+// --grid-jobs N, --dispatch process and --dispatch tcp output files are
+// byte-identical.
 //
-// Failure handling (same accounting in both backends):
-//   * crash — a worker that segfaults/OOMs (process) or drops its
-//     connection (tcp) mid-cell: the cell is retried on a fresh worker, up
-//     to `max_attempts` total tries (1 + FEDHISYN_WORKER_RETRIES; retries
-//     default 2, so 3 tries).
+// Failure handling (same accounting for local and remote workers):
+//   * crash — a worker that segfaults/OOMs or drops its connection mid-cell:
+//     the cell is retried on a fresh worker, up to `max_attempts` total
+//     tries (1 + FEDHISYN_WORKER_RETRIES; retries default 2, so 3 tries).  A
+//     local child that died is respawned.
 //   * hang — with FEDHISYN_CELL_TIMEOUT_S set, a worker that exceeds the
-//     per-cell deadline is SIGKILLed (process) or disconnected (tcp) and
-//     the cell retried exactly like a crash.  Default: no deadline.
-//   * dead host — a tcp worker whose connection cannot be re-established is
-//     retired; its cell is reassigned to the remaining workers.
+//     per-cell deadline has its socket shut down (a local child is also
+//     SIGKILLed) and the cell is retried exactly like a crash.  Default: no
+//     deadline.
+//   * dead host — a remote worker whose connection cannot be re-established
+//     is retired; its cell is reassigned to the remaining workers.
 //   * deterministic failure — the worker replies ok:false (e.g. an unknown
 //     method): rethrown in the parent without retry, like the thread
 //     backend.
@@ -62,6 +65,7 @@
 #include <string>
 #include <vector>
 
+#include "common/net.hpp"
 #include "exp/scheduler.hpp"
 
 namespace fedhisyn::exp {
@@ -70,80 +74,64 @@ namespace fedhisyn::exp {
 /// fractional) seconds, else 0 — meaning "no per-cell deadline".
 double cell_timeout_from_env();
 
-class ProcessDispatcher {
+/// 1 + FEDHISYN_WORKER_RETRIES (retries default 2, so 3 total tries); a
+/// negative env value falls back to the default.
+int max_attempts_from_env();
+
+/// Remote worker endpoints: `list` ("host:port,..." — the --workers value),
+/// or FEDHISYN_WORKERS when `list` is empty, parsed by net::parse_host_list.
+/// Check-fails when neither names an endpoint.
+std::vector<net::HostPort> worker_endpoints(const std::string& list);
+
+class Dispatcher {
  public:
   struct Options {
-    /// Concurrent worker processes (clamped to the number of cells).
+    /// Local worker processes when `hosts` is empty (clamped to the number
+    /// of cells).  A child that dies is respawned.
     std::size_t workers = 1;
-    /// FEDHISYN_THREADS handed to each worker; 0 = inherit the parent's env.
+    /// FEDHISYN_THREADS handed to each local worker; 0 = inherit the
+    /// parent's env.
     std::size_t threads_per_worker = 0;
+    /// Binary to self-exec for local workers; empty =
+    /// current_executable_path().
+    std::string worker_binary;
+    /// Remote `--serve` workers, one slot each; non-empty replaces the
+    /// local pool.  A host that cannot be reached is retired.
+    std::vector<net::HostPort> hosts;
     /// Total tries per cell before the sweep fails; 0 resolves
-    /// 1 + FEDHISYN_WORKER_RETRIES (retries default 2, i.e. 3 tries).
+    /// max_attempts_from_env().
     int max_attempts = 0;
     /// Per-cell deadline in seconds; < 0 resolves FEDHISYN_CELL_TIMEOUT_S,
-    /// 0 disables.  A worker past the deadline is SIGKILLed and the cell
+    /// 0 disables.  A worker past the deadline is cut off and the cell
     /// retried under the same accounting as a crash.
     double cell_timeout_s = -1.0;
-    /// Binary to self-exec; empty = current_executable_path().
-    std::string worker_binary;
-    /// Per-finished-cell callback, (done, total, cell), completion order.
-    std::function<void(std::size_t, std::size_t, const CellResult&)> on_cell;
-  };
-
-  explicit ProcessDispatcher(Options options);
-
-  /// Run every spec on the worker pool; results[i] corresponds to specs[i].
-  std::vector<CellResult> run(const std::vector<ExperimentSpec>& specs) const;
-
-  /// 1 + FEDHISYN_WORKER_RETRIES (retries default 2, so 3 total tries); a
-  /// negative env value falls back to the default.
-  static int max_attempts_from_env();
-
- private:
-  Options options_;
-};
-
-/// Multi-host twin of ProcessDispatcher: one slot per remote `--serve`
-/// worker, same protocol, same retry/timeout/ordering semantics.  Workers
-/// run wherever — the walkthrough in README "Multi-host grids" starts two on
-/// localhost.
-class TcpDispatcher {
- public:
-  struct Options {
-    /// Worker endpoints ("host:port"); empty resolves FEDHISYN_WORKERS.
-    std::vector<std::string> hosts;
-    /// Total tries per cell; 0 resolves 1 + FEDHISYN_WORKER_RETRIES.
-    int max_attempts = 0;
-    /// Per-cell deadline; < 0 resolves FEDHISYN_CELL_TIMEOUT_S, 0 disables.
-    double cell_timeout_s = -1.0;
-    /// Initial connects are retried until this budget elapses (workers may
-    /// still be starting); a *re*connect after a death gets one try — a host
-    /// that died mid-sweep is retired, its cells reassigned.
+    /// Remote hosts only: initial connects are retried until this budget
+    /// elapses (workers may still be starting); a *re*connect after a death
+    /// gets one try — a host that died mid-sweep is retired, its cells
+    /// reassigned.
     double connect_timeout_s = 10.0;
     /// Per-finished-cell callback, (done, total, cell), completion order.
     std::function<void(std::size_t, std::size_t, const CellResult&)> on_cell;
   };
 
-  explicit TcpDispatcher(Options options);
+  explicit Dispatcher(Options options);
 
-  /// Run every spec on the worker fleet; results[i] corresponds to specs[i].
+  /// Run every spec on the worker pool; results[i] corresponds to specs[i].
   /// Check-fails when no worker can be reached at all, or when every worker
   /// dies with cells still outstanding.
   std::vector<CellResult> run(const std::vector<ExperimentSpec>& specs) const;
-
-  /// FEDHISYN_WORKERS split on commas; empty vector when unset.
-  static std::vector<std::string> hosts_from_env();
 
  private:
   Options options_;
 };
 
 /// Entry point of the hidden --worker-cell mode: send the hello line, then
-/// read spec lines from stdin, run each cell, answer with one result line
-/// per cell on the real stdout (stray library prints are re-routed to
-/// stderr), until EOF.  Returns the process exit code.  Reached via
+/// read spec lines from stdin, run each cell and answer with one result line
+/// per cell, until EOF.  Stdin is the parent's socketpair end and carries
+/// both directions; stdout is re-routed to stderr so stray library prints
+/// cannot corrupt a response.  Returns the process exit code.  Reached via
 /// exp::handle_grid_flags in every grid driver, or directly from a custom
-/// main (see tests/dispatch_test.cpp).
+/// main (see tests/worker_main.cpp).
 int worker_cell_main();
 
 /// Entry point of --serve [bind:]port: announce the bound endpoint on stdout

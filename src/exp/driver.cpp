@@ -33,17 +33,6 @@ std::vector<std::string> split_list(const std::string& text) {
   return items;
 }
 
-/// Worker endpoints additionally tolerate spaces after commas ("a:1, b:2"),
-/// matching net::parse_host_list — " b:2" would fail resolution at startup.
-std::vector<std::string> split_host_list(const std::string& text) {
-  std::string stripped;
-  stripped.reserve(text.size());
-  for (const char c : text) {
-    if (c != ' ') stripped.push_back(c);
-  }
-  return split_list(stripped);
-}
-
 }  // namespace
 
 GridDriverOptions handle_grid_flags(const Flags& flags) {
@@ -197,7 +186,7 @@ std::vector<CellResult> run_grid(const std::vector<ExperimentSpec>& specs,
     GridScheduler::Options sched;
     sched.jobs = options.grid_jobs;
     sched.backend = options.dispatch;
-    sched.worker_hosts = split_host_list(options.workers);
+    sched.worker_hosts = options.workers;
     // Serialised by the scheduler (both backends), so the append-order in
     // the streaming sink is completion order; the final rewrite below
     // restores spec order.

@@ -51,8 +51,8 @@
 //   --gemm-info       print the resolved GEMM dispatch state (selected
 //                     variant, forced kernel, tuning cache, per-class
 //                     configurations) and exit
-//   --worker-cell     hidden: become a dispatch worker (stdin/stdout
-//                     protocol, see exp/dispatch.hpp); used by
+//   --worker-cell     hidden: become a dispatch worker (protocol over the
+//                     socketpair on stdin, see exp/dispatch.hpp); used by
 //                     --dispatch=process to self-exec this binary
 //   --serve [BIND:]PORT
 //                     become a resident remote dispatch worker: listen on
@@ -84,7 +84,7 @@ struct GridDriverOptions {
   /// Cell execution backend (--dispatch; kAuto resolves FEDHISYN_DISPATCH).
   CellBackend dispatch = CellBackend::kAuto;
   /// Comma-separated remote worker endpoints for the tcp backend
-  /// (--workers; empty lets the dispatcher resolve FEDHISYN_WORKERS).
+  /// (--workers; empty lets the scheduler resolve FEDHISYN_WORKERS).
   std::string workers;
   /// Skip cells whose spec key already sits in the --out JSONL.
   bool resume = false;

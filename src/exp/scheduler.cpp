@@ -107,30 +107,24 @@ std::vector<CellResult> GridScheduler::run(
   const CellBackend backend = options_.backend == CellBackend::kAuto
                                   ? backend_from_env()
                                   : options_.backend;
-  if (backend == CellBackend::kProcess) {
+  if (backend != CellBackend::kThread) {
     // Same two-level budget as the thread backend, but each job slot is a
-    // self-exec'd worker process (crash-isolated, retried); collection stays
-    // in spec order, so the two backends emit byte-identical results.
+    // crash-isolated worker: a self-exec'd child process, or one remote
+    // --serve worker per endpoint for kTcp (whose thread budget is the
+    // worker's own FEDHISYN_THREADS).  Collection stays in spec order, so
+    // every backend emits byte-identical results.
     const std::size_t jobs = resolved_jobs(specs.size());
-    ProcessDispatcher::Options dispatch;
+    Dispatcher::Options dispatch;
     dispatch.workers = jobs;
     dispatch.threads_per_worker = inner_threads(jobs);
-    dispatch.max_attempts = options_.max_attempts;
-    dispatch.cell_timeout_s = options_.cell_timeout_s;
     dispatch.worker_binary = options_.worker_binary;
-    dispatch.on_cell = options_.on_cell;
-    return ProcessDispatcher(std::move(dispatch)).run(specs);
-  }
-  if (backend == CellBackend::kTcp) {
-    // One slot per remote --serve worker; the thread budget is whatever each
-    // worker's own FEDHISYN_THREADS says.  Collection stays in spec order,
-    // so tcp output is byte-identical to every other backend.
-    TcpDispatcher::Options dispatch;
-    dispatch.hosts = options_.worker_hosts;
+    if (backend == CellBackend::kTcp) {
+      dispatch.hosts = worker_endpoints(options_.worker_hosts);
+    }
     dispatch.max_attempts = options_.max_attempts;
     dispatch.cell_timeout_s = options_.cell_timeout_s;
     dispatch.on_cell = options_.on_cell;
-    return TcpDispatcher(std::move(dispatch)).run(specs);
+    return Dispatcher(std::move(dispatch)).run(specs);
   }
 
   BuildCache cache;

@@ -139,14 +139,14 @@ class GridScheduler {
     bool share_builds = true;
     /// Cell execution backend (--dispatch / FEDHISYN_DISPATCH).
     CellBackend backend = CellBackend::kAuto;
-    /// Process backend: tries per cell before the sweep fails (0 resolves
-    /// 1 + FEDHISYN_WORKER_RETRIES) and the binary to self-exec (empty =
-    /// the running binary; tests point it at themselves explicitly).
+    /// Process/tcp backends: tries per cell before the sweep fails (0
+    /// resolves 1 + FEDHISYN_WORKER_RETRIES).  Process backend: the binary
+    /// to self-exec (empty = the running binary).
     int max_attempts = 0;
     std::string worker_binary;
-    /// Tcp backend: remote worker endpoints ("host:port"); empty resolves
-    /// FEDHISYN_WORKERS.
-    std::vector<std::string> worker_hosts;
+    /// Tcp backend: remote worker endpoints ("host:port,host:port,...", the
+    /// --workers value); empty resolves FEDHISYN_WORKERS.
+    std::string worker_hosts;
     /// Process/tcp backends: per-cell deadline in seconds; < 0 resolves
     /// FEDHISYN_CELL_TIMEOUT_S, 0 disables.
     double cell_timeout_s = -1.0;

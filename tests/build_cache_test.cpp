@@ -6,12 +6,11 @@
 // pass (observed end-to-end through the process backend's per-cell cache
 // stats), and a resident --serve worker staying warm across connections.
 //
-// This binary has a custom main like dispatch_test: invoked with
+// This binary links tests/worker_main.cpp like dispatch_test: invoked with
 // --worker-cell or --serve it becomes a dispatch worker (the process/tcp
 // tests self-exec it), otherwise it runs the gtest suites.
 #include <gtest/gtest.h>
 
-#include <csignal>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -19,13 +18,12 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/net.hpp"
-#include "common/subprocess.hpp"
 #include "exp/build_cache.hpp"
 #include "exp/dispatch.hpp"
 #include "exp/grid.hpp"
 #include "exp/scheduler.hpp"
 #include "exp/sinks.hpp"
+#include "serve_worker.hpp"
 
 namespace fedhisyn::exp {
 namespace {
@@ -69,37 +67,6 @@ class ScopedEnv {
   const char* name_;
   bool had_old_ = false;
   std::string old_;
-};
-
-/// A resident `--serve` worker: this test binary self-exec'd on an ephemeral
-/// loopback port, endpoint parsed back from its announce line.  Killed (and
-/// reaped) on destruction.
-class ServeWorker {
- public:
-  explicit ServeWorker(std::vector<std::string> env = {})
-      : proc_(std::vector<std::string>{current_executable_path(), "--serve",
-                                       "127.0.0.1:0"},
-              std::move(env)) {
-    net::LineReader announce(proc_.stdout_fd());
-    std::string line;
-    FEDHISYN_CHECK_MSG(announce.read_line(&line, net::Deadline::after(30.0)) ==
-                           net::LineReader::Status::kLine,
-                       "--serve worker printed no announce line");
-    const std::string prefix = "fedhisyn-serve: listening on ";
-    FEDHISYN_CHECK_MSG(line.rfind(prefix, 0) == 0,
-                       "unexpected announce line: " << line);
-    endpoint_ = line.substr(prefix.size());
-  }
-  ~ServeWorker() {
-    proc_.kill(SIGKILL);
-    proc_.wait();
-  }
-
-  const std::string& endpoint() const { return endpoint_; }
-
- private:
-  Subprocess proc_;
-  std::string endpoint_;
 };
 
 /// One tiny spec per distinct build: same scale, different build seed (the
@@ -255,8 +222,7 @@ TEST(BuildCache, BudgetResolvesFromEnv) {
   }
   {
     ScopedEnv mb("FEDHISYN_BUILD_CACHE_MB", "garbage");
-    EXPECT_EQ(BuildCache::budget_bytes_from_env(),
-              BuildCache::default_budget_bytes());
+    EXPECT_THROW(BuildCache::budget_bytes_from_env(), CheckError);
   }
 }
 
@@ -295,9 +261,9 @@ TEST(DispatchCache, AffinityDrainsInterleavedBuildsWithoutThrashing) {
   ScopedEnv budget("FEDHISYN_BUILD_CACHE_MB", budget_text);
   ScopedEnv quiet("FEDHISYN_QUIET", "1");
 
-  ProcessDispatcher::Options options;
+  Dispatcher::Options options;
   options.workers = 1;
-  const auto process = ProcessDispatcher(options).run(specs);
+  const auto process = Dispatcher(options).run(specs);
   ASSERT_EQ(process.size(), 4u);
 
   // Byte-identity survives affinity reordering and the tiny budget.
@@ -331,17 +297,17 @@ TEST(DispatchCache, ResidentServeWorkerStaysWarmAcrossConnections) {
   // One resident worker, default budget, two back-to-back sweeps = two
   // separate coordinator connections against one worker-lifetime cache.
   ServeWorker worker({"FEDHISYN_QUIET=1"});
-  TcpDispatcher::Options options;
-  options.hosts = {worker.endpoint()};
+  Dispatcher::Options options;
+  options.hosts = {worker.host()};
 
-  const auto first = TcpDispatcher(options).run(specs);
+  const auto first = Dispatcher(options).run(specs);
   ASSERT_EQ(first.size(), 2u);
   ASSERT_TRUE(first[0].cache.valid);
   EXPECT_FALSE(first[0].cache.hit);  // the sweep's one build
   EXPECT_TRUE(first[1].cache.hit);   // same build key, second method
   EXPECT_EQ(first[1].cache.misses, 1u);
 
-  const auto second = TcpDispatcher(options).run(specs);
+  const auto second = Dispatcher(options).run(specs);
   ASSERT_EQ(second.size(), 2u);
   EXPECT_TRUE(second[0].cache.hit);  // warm from the previous connection
   EXPECT_TRUE(second[1].cache.hit);
@@ -358,19 +324,3 @@ TEST(DispatchCache, ResidentServeWorkerStaysWarmAcrossConnections) {
 
 }  // namespace
 }  // namespace fedhisyn::exp
-
-int main(int argc, char** argv) {
-  // ProcessDispatcher self-execs this binary with --worker-cell, and the tcp
-  // tests self-exec it with --serve: become a dispatch worker instead of
-  // running the suites.
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--worker-cell") {
-      return fedhisyn::exp::worker_cell_main();
-    }
-    if (std::string(argv[i]) == "--serve" && i + 1 < argc) {
-      return fedhisyn::exp::serve_main(argv[i + 1]);
-    }
-  }
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}

@@ -218,6 +218,10 @@ TEST(Env, FallbackWhenUnset) {
   ::setenv("FEDHISYN_TEST_KNOB", "123", 1);
   EXPECT_EQ(env_long("FEDHISYN_TEST_KNOB", 7), 123);
   ::setenv("FEDHISYN_TEST_KNOB", "garbage", 1);
+  EXPECT_THROW(env_long("FEDHISYN_TEST_KNOB", 7), CheckError);
+  ::setenv("FEDHISYN_TEST_KNOB", "4x", 1);  // no silent prefix parse
+  EXPECT_THROW(env_long("FEDHISYN_TEST_KNOB", 7), CheckError);
+  ::setenv("FEDHISYN_TEST_KNOB", "", 1);  // empty counts as unset
   EXPECT_EQ(env_long("FEDHISYN_TEST_KNOB", 7), 7);
   ::unsetenv("FEDHISYN_TEST_KNOB");
 }

@@ -6,13 +6,13 @@
 // (FEDHISYN_CELL_TIMEOUT_S kills and retries under crash accounting),
 // --resume semantics, and the atomic / append-safe result sinks.
 //
-// This binary has a custom main: invoked with --worker-cell it becomes a
-// dispatch worker (the ProcessDispatcher self-execs the running binary, i.e.
-// this test), with --serve it becomes a resident TCP worker (the tcp tests
-// spawn two of themselves on ephemeral ports), otherwise it runs the gtest
-// suites.
+// This binary links tests/worker_main.cpp: invoked with --worker-cell it
+// becomes a dispatch worker (the Dispatcher self-execs the running binary,
+// i.e. this test), with --serve a resident TCP worker (the tcp tests spawn
+// two of themselves on ephemeral ports), otherwise it runs the gtest suites.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/check.hpp"
@@ -33,6 +35,7 @@
 #include "exp/grid.hpp"
 #include "exp/scheduler.hpp"
 #include "exp/sinks.hpp"
+#include "serve_worker.hpp"
 
 namespace fedhisyn::exp {
 namespace {
@@ -78,36 +81,11 @@ class ScopedEnv {
   std::string old_;
 };
 
-/// A resident `--serve` worker: this test binary self-exec'd on an ephemeral
-/// loopback port, endpoint parsed back from its announce line.  Killed (and
-/// reaped) on destruction.
-class ServeWorker {
- public:
-  explicit ServeWorker(std::vector<std::string> env = {})
-      : proc_(std::vector<std::string>{current_executable_path(), "--serve",
-                                       "127.0.0.1:0"},
-              std::move(env)) {
-    net::LineReader announce(proc_.stdout_fd());
-    std::string line;
-    FEDHISYN_CHECK_MSG(announce.read_line(&line, net::Deadline::after(30.0)) ==
-                           net::LineReader::Status::kLine,
-                       "--serve worker printed no announce line");
-    const std::string prefix = "fedhisyn-serve: listening on ";
-    FEDHISYN_CHECK_MSG(line.rfind(prefix, 0) == 0,
-                       "unexpected announce line: " << line);
-    endpoint_ = line.substr(prefix.size());
-  }
-  ~ServeWorker() {
-    proc_.kill(SIGKILL);
-    proc_.wait();
-  }
-
-  const std::string& endpoint() const { return endpoint_; }
-
- private:
-  Subprocess proc_;
-  std::string endpoint_;
-};
+/// True when this process has no child left, reaped or not: every worker
+/// the dispatcher spawned was also waited for.
+bool no_children_left() {
+  return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
+}
 
 std::vector<std::string> read_lines(const std::string& path) {
   std::ifstream in(path);
@@ -219,6 +197,7 @@ TEST(Dispatch, ProcessMatchesThreadAndSerialByteIdentical) {
   process_options.backend = CellBackend::kProcess;
   const auto process = GridScheduler(process_options).run(specs);
 
+  EXPECT_TRUE(no_children_left());  // a clean sweep reaps every worker
   ASSERT_EQ(serial.size(), process.size());
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -338,9 +317,9 @@ TEST(Dispatch, DeterministicCellFailurePropagatesWithoutRetry) {
 }
 
 TEST(Dispatch, MaxAttemptsResolvesFromEnv) {
-  EXPECT_EQ(ProcessDispatcher::max_attempts_from_env(), 3);  // default: 2 retries
+  EXPECT_EQ(max_attempts_from_env(), 3);  // default: 2 retries
   ScopedEnv retries("FEDHISYN_WORKER_RETRIES", "5");
-  EXPECT_EQ(ProcessDispatcher::max_attempts_from_env(), 6);
+  EXPECT_EQ(max_attempts_from_env(), 6);
 }
 
 TEST(Dispatch, CellTimeoutResolvesFromEnv) {
@@ -348,6 +327,12 @@ TEST(Dispatch, CellTimeoutResolvesFromEnv) {
   {
     ScopedEnv timeout("FEDHISYN_CELL_TIMEOUT_S", "2.5");
     EXPECT_EQ(cell_timeout_from_env(), 2.5);
+  }
+  {
+    // "5m" must not quietly become a 5-second deadline that kills and
+    // retries every longer cell until the sweep fails.
+    ScopedEnv minutes("FEDHISYN_CELL_TIMEOUT_S", "5m");
+    EXPECT_THROW(cell_timeout_from_env(), CheckError);
   }
   ScopedEnv nonsense("FEDHISYN_CELL_TIMEOUT_S", "-3");
   EXPECT_EQ(cell_timeout_from_env(), 0.0);  // non-positive = off
@@ -367,10 +352,12 @@ TEST(Dispatch, HungWorkerIsKilledAtTheDeadlineAndRetried) {
   // attempt; the dispatcher must SIGKILL at the deadline and heal on attempt
   // 2 under the same accounting as a crash.
   ScopedEnv hang("FEDHISYN_TEST_HANG", "FedAvg:1:600");
-  ProcessDispatcher::Options options;
+  Dispatcher::Options options;
   options.workers = 2;
   options.cell_timeout_s = 1.0;
-  const auto hung = ProcessDispatcher(options).run(specs);
+  const auto hung = Dispatcher(options).run(specs);
+  // The killed worker was reaped, not left behind as a zombie.
+  EXPECT_TRUE(no_children_left());
 
   ASSERT_EQ(clean.size(), hung.size());
   for (std::size_t i = 0; i < clean.size(); ++i) {
@@ -382,12 +369,12 @@ TEST(Dispatch, HungWorkerExhaustsAttemptsWhenItNeverHeals) {
   auto grid = tiny_grid();
   grid.methods({"FedAvg"});
   ScopedEnv hang("FEDHISYN_TEST_HANG", "FedAvg:600:600");  // every attempt wedges
-  ProcessDispatcher::Options options;
+  Dispatcher::Options options;
   options.workers = 1;
   options.max_attempts = 2;
   options.cell_timeout_s = 0.3;
   try {
-    ProcessDispatcher(options).run(grid.expand());
+    Dispatcher(options).run(grid.expand());
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("giving up"), std::string::npos);
@@ -411,7 +398,7 @@ TEST(TcpDispatch, MatchesSerialByteIdenticalAcrossTwoServeWorkers) {
   ServeWorker worker_b;
   GridScheduler::Options tcp_options;
   tcp_options.backend = CellBackend::kTcp;
-  tcp_options.worker_hosts = {worker_a.endpoint(), worker_b.endpoint()};
+  tcp_options.worker_hosts = worker_a.endpoint() + "," + worker_b.endpoint();
   const auto tcp = GridScheduler(tcp_options).run(specs);
 
   ASSERT_EQ(serial.size(), tcp.size());
@@ -437,9 +424,9 @@ TEST(TcpDispatch, WorkerDroppingItsConnectionMidCellIsRetriedElsewhere) {
   // attempt-2 request runs clean.
   ServeWorker volatile_a({"FEDHISYN_TEST_CRASH=FedAvg:1"});
   ServeWorker volatile_b({"FEDHISYN_TEST_CRASH=FedAvg:1"});
-  TcpDispatcher::Options options;
-  options.hosts = {volatile_a.endpoint(), volatile_b.endpoint()};
-  const auto tcp = TcpDispatcher(options).run(specs);
+  Dispatcher::Options options;
+  options.hosts = {volatile_a.host(), volatile_b.host()};
+  const auto tcp = Dispatcher(options).run(specs);
 
   ASSERT_EQ(clean.size(), tcp.size());
   for (std::size_t i = 0; i < clean.size(); ++i) {
@@ -462,10 +449,10 @@ TEST(TcpDispatch, HungRemoteWorkerIsDisconnectedAtTheDeadlineAndRetried) {
   // earlier, so the cell reruns on the other worker first.
   ServeWorker sleepy_a({"FEDHISYN_TEST_HANG=FedAvg:1:2"});
   ServeWorker sleepy_b({"FEDHISYN_TEST_HANG=FedAvg:1:2"});
-  TcpDispatcher::Options options;
-  options.hosts = {sleepy_a.endpoint(), sleepy_b.endpoint()};
+  Dispatcher::Options options;
+  options.hosts = {sleepy_a.host(), sleepy_b.host()};
   options.cell_timeout_s = 0.5;
-  const auto tcp = TcpDispatcher(options).run(specs);
+  const auto tcp = Dispatcher(options).run(specs);
 
   ASSERT_EQ(clean.size(), tcp.size());
   for (std::size_t i = 0; i < clean.size(); ++i) {
@@ -484,11 +471,11 @@ TEST(TcpDispatch, DeadHostAtStartupIsRetiredAndTheSweepCompletes) {
   const auto clean = GridScheduler(clean_options).run(specs);
 
   ServeWorker alive;
-  TcpDispatcher::Options options;
+  Dispatcher::Options options;
   // Port 1 on loopback refuses instantly; the good worker carries the sweep.
-  options.hosts = {alive.endpoint(), "127.0.0.1:1"};
+  options.hosts = {alive.host(), {"127.0.0.1", 1}};
   options.connect_timeout_s = 0.3;
-  const auto tcp = TcpDispatcher(options).run(specs);
+  const auto tcp = Dispatcher(options).run(specs);
 
   ASSERT_EQ(clean.size(), tcp.size());
   for (std::size_t i = 0; i < clean.size(); ++i) {
@@ -499,21 +486,30 @@ TEST(TcpDispatch, DeadHostAtStartupIsRetiredAndTheSweepCompletes) {
 TEST(TcpDispatch, NoWorkersConfiguredCheckFails) {
   auto grid = tiny_grid();
   grid.methods({"FedAvg"});
-  TcpDispatcher::Options options;  // no hosts, no FEDHISYN_WORKERS
-  EXPECT_THROW(TcpDispatcher(options).run(grid.expand()), CheckError);
+  GridScheduler::Options options;  // no worker_hosts, no FEDHISYN_WORKERS
+  options.backend = CellBackend::kTcp;
+  EXPECT_THROW(GridScheduler(options).run(grid.expand()), CheckError);
 }
 
 TEST(TcpDispatch, HostsResolveFromEnvWhenOptionsAreEmpty) {
   {
-    // Spaces after commas are stripped, matching net::parse_host_list —
-    // " hostB" would otherwise fail resolution at sweep startup.
+    // Spaces after commas are stripped by net::parse_host_list — " hostB"
+    // would otherwise fail resolution at sweep startup.
     ScopedEnv workers("FEDHISYN_WORKERS", "hostA:7800, hostB:7801");
-    const auto hosts = TcpDispatcher::hosts_from_env();
+    const auto hosts = worker_endpoints("");
     ASSERT_EQ(hosts.size(), 2u);
-    EXPECT_EQ(hosts[0], "hostA:7800");
-    EXPECT_EQ(hosts[1], "hostB:7801");
+    EXPECT_EQ(hosts[0].host, "hostA");
+    EXPECT_EQ(hosts[0].port, 7800);
+    EXPECT_EQ(hosts[1].host, "hostB");
+    EXPECT_EQ(hosts[1].port, 7801);
+    // An explicit --workers list (same parser) wins over the env var.
+    const auto flag = worker_endpoints("hostC:1, hostD:2");
+    ASSERT_EQ(flag.size(), 2u);
+    EXPECT_EQ(flag[1].host, "hostD");
+    EXPECT_EQ(flag[1].port, 2);
   }
-  EXPECT_TRUE(TcpDispatcher::hosts_from_env().empty());
+  // Neither set: no endpoint to dispatch to.
+  EXPECT_THROW(worker_endpoints(""), CheckError);
 }
 
 // ---------------------------------------------------------------- resume --
@@ -674,58 +670,42 @@ TEST(Sinks, AppendedLinesAccumulate) {
 
 TEST(Subprocess, RunsEchoLikeChildAndReportsExit) {
   Subprocess cat({"/bin/cat"}, {});
-  ASSERT_TRUE(cat.write_stdin("hello\n"));
-  cat.close_stdin();
+  ASSERT_TRUE(net::write_all(cat.fd(), "hello\n"));
+  ::shutdown(cat.fd(), SHUT_WR);  // EOF on cat's stdin; its stdout stays open
   std::string out;
   char buf[64];
   ssize_t n;
-  while ((n = ::read(cat.stdout_fd(), buf, sizeof(buf))) > 0) out.append(buf, n);
+  while ((n = ::read(cat.fd(), buf, sizeof(buf))) > 0) out.append(buf, n);
   EXPECT_EQ(out, "hello\n");
   const ExitStatus status = cat.wait();
   EXPECT_TRUE(status.clean());
   EXPECT_EQ(describe(status), "exit code 0");
 }
 
-TEST(Subprocess, WriteStdinToADeadChildReturnsFalseInsteadOfSigpipe) {
+TEST(Subprocess, WriteToADeadChildReturnsFalseInsteadOfSigpipe) {
   // The dispatch loop's send() path: a worker that died between poll rounds
-  // must surface as a failed write (EPIPE with SIGPIPE ignored), never as a
-  // process-killing signal or a silent success.
-  std::signal(SIGPIPE, SIG_IGN);
+  // must surface as a failed write, never as a process-killing signal or a
+  // silent success — even with SIGPIPE at its default, lethal disposition.
+  const auto previous = std::signal(SIGPIPE, SIG_DFL);
   Subprocess child({"/bin/sh", "-c", "exit 7"}, {});
   const ExitStatus status = child.wait();  // child is certainly gone now
   EXPECT_TRUE(status.exited);
   EXPECT_EQ(status.code, 7);
   EXPECT_EQ(describe(status), "exit code 7");
-  EXPECT_FALSE(child.write_stdin("{\"attempt\":1}\n"));
+  EXPECT_FALSE(net::write_all(child.fd(), "{\"attempt\":1}\n"));
+  std::signal(SIGPIPE, previous);
 }
 
 TEST(Subprocess, EnvOverridesReachTheChild) {
   Subprocess child({"/bin/sh", "-c", "printf '%s' \"$FEDHISYN_DISPATCH_TEST\""},
                    {"FEDHISYN_DISPATCH_TEST=42"});
-  child.close_stdin();
   std::string out;
   char buf[64];
   ssize_t n;
-  while ((n = ::read(child.stdout_fd(), buf, sizeof(buf))) > 0) out.append(buf, n);
+  while ((n = ::read(child.fd(), buf, sizeof(buf))) > 0) out.append(buf, n);
   EXPECT_EQ(out, "42");
   EXPECT_TRUE(child.wait().clean());
 }
 
 }  // namespace
 }  // namespace fedhisyn::exp
-
-int main(int argc, char** argv) {
-  // ProcessDispatcher self-execs this binary with --worker-cell, and the tcp
-  // tests self-exec it with --serve: become a dispatch worker instead of
-  // running the suites.
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--worker-cell") {
-      return fedhisyn::exp::worker_cell_main();
-    }
-    if (std::string(argv[i]) == "--serve" && i + 1 < argc) {
-      return fedhisyn::exp::serve_main(argv[i + 1]);
-    }
-  }
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}

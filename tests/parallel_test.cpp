@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "core/decentral.hpp"
 #include "core/registry.hpp"
@@ -130,7 +131,7 @@ TEST(ParallelExecutor, EnvOverrideControlsDefaultThreadCount) {
   EXPECT_EQ(pool.thread_count(), 3u);
 
   ::setenv("FEDHISYN_THREADS", "not-a-number", 1);
-  EXPECT_GE(ParallelExecutor::threads_from_env(), 1u);
+  EXPECT_THROW(ParallelExecutor::threads_from_env(), CheckError);
   ::setenv("FEDHISYN_THREADS", "-2", 1);
   EXPECT_GE(ParallelExecutor::threads_from_env(), 1u);
   ::unsetenv("FEDHISYN_THREADS");

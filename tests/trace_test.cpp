@@ -5,14 +5,13 @@
 // counter deltas), and the determinism contract — tracing off records
 // nothing and tracing on never changes result bytes.
 //
-// This binary has a custom main like dispatch_test: with --worker-cell it
-// becomes a dispatch worker, with --serve a resident TCP worker (the tcp
-// test spawns two of itself on ephemeral ports).
+// This binary links tests/worker_main.cpp like dispatch_test: with
+// --worker-cell it becomes a dispatch worker, with --serve a resident TCP
+// worker (the tcp test spawns two of itself on ephemeral ports).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -25,15 +24,13 @@
 #include "common/check.hpp"
 #include "common/counters.hpp"
 #include "common/json.hpp"
-#include "common/net.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "common/subprocess.hpp"
 #include "common/trace.hpp"
-#include "exp/dispatch.hpp"
 #include "exp/grid.hpp"
 #include "exp/scheduler.hpp"
 #include "exp/sinks.hpp"
+#include "serve_worker.hpp"
 
 namespace fedhisyn::exp {
 namespace {
@@ -60,37 +57,6 @@ class ScopedTrace {
  public:
   ScopedTrace() { trace::set_enabled(true); }
   ~ScopedTrace() { trace::set_enabled(false); }
-};
-
-/// A resident `--serve` worker: this test binary self-exec'd on an ephemeral
-/// loopback port, endpoint parsed back from its announce line.  Killed (and
-/// reaped) on destruction.
-class ServeWorker {
- public:
-  explicit ServeWorker(std::vector<std::string> env = {})
-      : proc_(std::vector<std::string>{current_executable_path(), "--serve",
-                                       "127.0.0.1:0"},
-              std::move(env)) {
-    net::LineReader announce(proc_.stdout_fd());
-    std::string line;
-    FEDHISYN_CHECK_MSG(announce.read_line(&line, net::Deadline::after(30.0)) ==
-                           net::LineReader::Status::kLine,
-                       "--serve worker printed no announce line");
-    const std::string prefix = "fedhisyn-serve: listening on ";
-    FEDHISYN_CHECK_MSG(line.rfind(prefix, 0) == 0,
-                       "unexpected announce line: " << line);
-    endpoint_ = line.substr(prefix.size());
-  }
-  ~ServeWorker() {
-    proc_.kill(SIGKILL);
-    proc_.wait();
-  }
-
-  const std::string& endpoint() const { return endpoint_; }
-
- private:
-  Subprocess proc_;
-  std::string endpoint_;
 };
 
 std::string slurp(const std::string& path) {
@@ -329,7 +295,7 @@ TEST(TcpTrace, TwoWorkerSweepMergesLanesAndCountersAndKeepsBytesIdentical) {
     ScopedTrace on;
     GridScheduler::Options tcp_options;
     tcp_options.backend = CellBackend::kTcp;
-    tcp_options.worker_hosts = {worker_a.endpoint(), worker_b.endpoint()};
+    tcp_options.worker_hosts = worker_a.endpoint() + "," + worker_b.endpoint();
     tcp = GridScheduler(tcp_options).run(specs);
     trace::write_chrome_trace(path);
   }
@@ -420,19 +386,3 @@ TEST(Trace, DisabledPathRecordsNothingAndKeepsBytesIdentical) {
 
 }  // namespace
 }  // namespace fedhisyn::exp
-
-int main(int argc, char** argv) {
-  // The tcp telemetry test self-execs this binary with --serve (and the
-  // process dispatcher would use --worker-cell): become a dispatch worker
-  // instead of running the suites.
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--worker-cell") {
-      return fedhisyn::exp::worker_cell_main();
-    }
-    if (std::string(argv[i]) == "--serve" && i + 1 < argc) {
-      return fedhisyn::exp::serve_main(argv[i + 1]);
-    }
-  }
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}
