@@ -5,11 +5,14 @@
 // the dispatch machinery dominates) through GridScheduler three times —
 // thread backend, process backend, and the tcp backend against two --serve
 // workers self-exec'd on loopback — and reports wall time, cells/sec and the
-// derived per-cell dispatch overhead.  A fourth sub-bench measures the
-// worker-side multi-build LRU cache (exp/build_cache.hpp): a
-// build-interleaved 2-build sweep of build-heavy cells on one process
-// worker, cold (FEDHISYN_BUILD_CACHE_MB=0) vs warm (default budget), where
-// the affinity pass + resident cache must beat rebuild-per-cell by >= 2x.
+// derived per-cell dispatch overhead.  The process and tcp timings are not
+// like for like: the --serve workers start before the timed region, so
+// tcp/w2 excludes worker start-up, while process/j2 pays for spawning its
+// workers inside it.  A fourth sub-bench measures the worker-side
+// multi-build LRU cache (exp/build_cache.hpp): a build-interleaved 2-build
+// sweep of build-heavy cells on one process worker, cold
+// (FEDHISYN_BUILD_CACHE_MB=0) vs warm (default budget), where the affinity
+// pass + resident cache must beat rebuild-per-cell by >= 2x.
 // Emits machine-readable BENCH_dispatch.json; CI gates cells_per_sec (and
 // cells_per_sec_warm for the cache entry) against
 // bench/baselines/BENCH_dispatch.json via tools/bench_gate.py (the floors
@@ -101,6 +104,7 @@ int main(int argc, char** argv) {
 
   // Tcp backend: two resident --serve workers on loopback — the wire and
   // framing costs of a real multi-host sweep without the network in between.
+  // The workers start here, outside run_backend's timed region.
   double tcp_wall;
   {
     exp::ServeWorker worker_a;
@@ -167,7 +171,8 @@ int main(int argc, char** argv) {
               "overhead\n",
               process_wall, process_cps, overhead_ms);
   std::printf("tcp     backend: %7.3fs wall, %8.1f cells/sec, %+.2f ms/cell dispatch "
-              "overhead (2 loopback --serve workers)\n",
+              "overhead (2 loopback --serve workers, started before the "
+              "timed region)\n",
               tcp_wall, tcp_cps, tcp_overhead_ms);
   std::printf("build cache (interleaved 2-build sweep, %zu cells, 1 worker):\n",
               kCacheCells);

@@ -12,8 +12,8 @@
 // are informational (pool size = --threads / FEDHISYN_THREADS).
 //
 //   ./bench_gemm_sweep --out BENCH_gemm.json [--min-time-ms 200] [--threads N]
-//                      [--shapes name,...] [--kernel VARIANT[:MRxNR]]
-//                      [--list-kernels] [--tune FILE [--tune-min-time-ms MS]]
+//                      [--shapes name,...] [--kernel VARIANT]
+//                      [--list-kernels]
 //
 // Kernel modes: by default every shape is timed under the auto-selected
 // kernel (the plain entry, gated against bench/baselines/BENCH_gemm.json)
@@ -23,22 +23,16 @@
 // forces one variant for the plain entries instead and skips the per-variant
 // sweep; an unsupported variant exits with status 3 so CI can skip
 // gracefully.  --list-kernels prints the supported variant names and exits.
-//
-// --tune runs the one-shot autotuner (tensor/gemm_tune.hpp) over the
-// selected shapes for the selected variant and writes the tuning cache to
-// FILE — load it via FEDHISYN_GEMM_TUNE_CACHE / --gemm-tune-cache.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "common/check.hpp"
 #include "common/hostinfo.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -193,15 +187,6 @@ const char* variant_name(Variant v) {
   return "?";
 }
 
-gemmk::GemmOp to_gemm_op(Variant v) {
-  switch (v) {
-    case Variant::kNN: return gemmk::GemmOp::kNN;
-    case Variant::kNT: return gemmk::GemmOp::kNT;
-    case Variant::kTN: return gemmk::GemmOp::kTN;
-  }
-  return gemmk::GemmOp::kNN;
-}
-
 /// Point FEDHISYN_GEMM_KERNEL at `spec` (nullptr = unset) and re-resolve the
 /// runtime selection — the documented test/bench reinit hook.
 void force_kernel(const char* spec) {
@@ -211,14 +196,6 @@ void force_kernel(const char* spec) {
     setenv("FEDHISYN_GEMM_KERNEL", spec, /*overwrite=*/1);
   }
   gemm_runtime_reinit();
-}
-
-/// "avx512" or "avx2:6x16": the resolved selection, for the "kernel" field.
-std::string kernel_desc() {
-  const GemmRuntimeInfo& info = gemm_runtime_info();
-  std::string desc = info.variant;
-  if (!info.forced_kernel.empty()) desc += ":" + info.forced_kernel;
-  return desc;
 }
 
 bool variant_supported(const std::string& name) {
@@ -236,8 +213,6 @@ int main(int argc, char** argv) {
   std::size_t threads = ParallelExecutor::threads_from_env();
   std::string shapes_filter;
   std::string kernel_spec;
-  std::string tune_path;
-  double tune_min_time_ms = 50.0;
   bool list_kernels = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -258,17 +233,12 @@ int main(int argc, char** argv) {
       shapes_filter = next();
     } else if (arg == "--kernel") {
       kernel_spec = next();
-    } else if (arg == "--tune") {
-      tune_path = next();
-    } else if (arg == "--tune-min-time-ms") {
-      tune_min_time_ms = std::atof(next());
     } else if (arg == "--list-kernels") {
       list_kernels = true;
     } else {
       std::cerr << "usage: bench_gemm_sweep [--out FILE] [--min-time-ms MS] "
                    "[--threads N] [--shapes name,...] "
-                   "[--kernel VARIANT[:MRxNR]] [--list-kernels] "
-                   "[--tune FILE [--tune-min-time-ms MS]]\n";
+                   "[--kernel VARIANT] [--list-kernels]\n";
       return arg == "--help" ? 0 : 2;
     }
   }
@@ -310,42 +280,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --kernel: force one variant for the whole sweep.  Unsupported variants
-  // exit 3 (distinct from usage errors) so CI matrix steps can skip; a bad
-  // kernel label inside a supported variant is the same kind of miss.
+  // --kernel: force one variant for the whole sweep.  A variant this CPU
+  // cannot run (or an unknown name) exits 3, distinct from usage errors, so
+  // CI matrix steps can skip.
   if (!kernel_spec.empty()) {
-    const std::string variant = kernel_spec.substr(0, kernel_spec.find(':'));
-    if (variant != "auto" && !variant_supported(variant)) {
-      std::cerr << "bench_gemm_sweep: kernel variant '" << variant
-                << "' is not supported on this CPU — skipping\n";
+    if (kernel_spec != "auto" && !variant_supported(kernel_spec)) {
+      std::cerr << "bench_gemm_sweep: kernel variant '" << kernel_spec
+                << "' is unknown or not supported on this CPU — skipping\n";
       return 3;
     }
-    try {
-      force_kernel(kernel_spec.c_str());
-    } catch (const CheckError& err) {
-      std::cerr << "bench_gemm_sweep: " << err.what() << "\n";
-      return 3;
-    }
-  }
-
-  // --tune: run the autotuner over the selected shapes and exit.
-  if (!tune_path.empty()) {
-    std::vector<GemmTuneShape> tune_shapes;
-    for (const GemmShape* s : selected) {
-      tune_shapes.push_back({to_gemm_op(s->variant), s->m, s->k, s->n});
-    }
-    const std::string variant = gemm_runtime_info().variant;
-    const GemmTuning tuning =
-        autotune_gemm(tune_shapes, variant, tune_min_time_ms);
-    save_gemm_tuning(tuning, tune_path);
-    for (const GemmTuneEntry& entry : tuning.entries) {
-      std::fprintf(stderr, "tune %-10s %s  kernel %-6s nc %5lld rows %3lld\n",
-                   variant.c_str(), entry.shape_class.c_str(),
-                   entry.kernel.c_str(), static_cast<long long>(entry.nc),
-                   static_cast<long long>(entry.rows));
-    }
-    std::cout << tune_path << std::endl;
-    return 0;
+    force_kernel(kernel_spec.c_str());
   }
 
   // Timing modes per shape: the current selection (plain entry, gated), and
@@ -393,7 +337,7 @@ int main(int argc, char** argv) {
       } else {
         force_kernel(mode.kernel_env.c_str());
       }
-      const std::string kernel = kernel_desc();
+      const std::string kernel = gemm_runtime_info().variant;
 
       double blk_st_ms = 0.0;
       {

@@ -23,7 +23,7 @@ const char* set_value(const std::string& name) {
 
 /// After a strto* parse of `value` that stopped at `end`: the whole value
 /// must have been one in-range number.  "5m" or "4x" check-fails, naming the
-/// variable, instead of silently truncating to its numeric prefix.
+/// knob, instead of silently truncating to its numeric prefix.
 void check_whole_number(const std::string& name, const char* value, const char* end) {
   FEDHISYN_CHECK_MSG(end != value && *end == '\0' && errno != ERANGE,
                      name << "='" << value << "' is not a number");
@@ -31,24 +31,30 @@ void check_whole_number(const std::string& name, const char* value, const char* 
 
 }  // namespace
 
-long env_long(const std::string& name, long fallback) {
-  const char* value = set_value(name);
-  if (value == nullptr) return fallback;
+long parse_long(const std::string& name, const std::string& text) {
   char* end = nullptr;
   errno = 0;
-  const long parsed = std::strtol(value, &end, 10);
-  check_whole_number(name, value, end);
+  const long parsed = std::strtol(text.c_str(), &end, 10);
+  check_whole_number(name, text.c_str(), end);
   return parsed;
+}
+
+double parse_double(const std::string& name, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(text.c_str(), &end);
+  check_whole_number(name, text.c_str(), end);
+  return parsed;
+}
+
+long env_long(const std::string& name, long fallback) {
+  const char* value = set_value(name);
+  return value == nullptr ? fallback : parse_long(name, value);
 }
 
 double env_double(const std::string& name, double fallback) {
   const char* value = set_value(name);
-  if (value == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(value, &end);
-  check_whole_number(name, value, end);
-  return parsed;
+  return value == nullptr ? fallback : parse_double(name, value);
 }
 
 bool quiet_from_env() {
@@ -62,11 +68,6 @@ std::string gemm_kernel_from_env() {
   const char* value = std::getenv("FEDHISYN_GEMM_KERNEL");
   if (value == nullptr || value[0] == '\0') return "auto";
   return value;
-}
-
-std::string gemm_tune_cache_from_env() {
-  const char* value = std::getenv("FEDHISYN_GEMM_TUNE_CACHE");
-  return value == nullptr ? std::string() : std::string(value);
 }
 
 }  // namespace fedhisyn

@@ -28,20 +28,13 @@
 //                            retried under the same accounting as a crash.
 //                            A plain number only — "5m" check-fails rather
 //                            than meaning 5 seconds.
-//   FEDHISYN_GEMM_KERNEL=auto|generic|avx2|avx512|neon[:MRxNR]
+//   FEDHISYN_GEMM_KERNEL=auto|generic|avx2|avx512|neon
 //                            GEMM micro-kernel variant (tensor/gemm_tune.hpp).
 //                            "auto" (the default) picks the best ISA the CPU
-//                            reports; a named variant forces it (failing
-//                            loudly when unsupported) and an optional :MRxNR
-//                            suffix pins the register-tile shape.  Every
-//                            variant produces bit-identical results.
-//   FEDHISYN_GEMM_TUNE_CACHE=FILE
-//                            tuning cache written by the GEMM autotuner
-//                            (bench_gemm_sweep --tune): per-shape-class
-//                            kernel shapes and tile-grid sizes that replace
-//                            the built-in defaults.  A cache recorded for a
-//                            different variant is ignored with a warning;
-//                            tunings change scheduling only, never bytes.
+//                            reports; a named variant forces it, with its one
+//                            register tile (failing loudly when unknown or
+//                            unsupported).  Every variant produces
+//                            bit-identical results.
 //   FEDHISYN_BUILD_CACHE_MB=M
 //                            byte budget (MiB, fractional allowed) of the
 //                            BuiltExperiment cache every execution backend
@@ -68,6 +61,12 @@ namespace fedhisyn {
 /// the laptop-scale defaults.
 bool full_scale_enabled();
 
+/// Parse `text` as one whole number: anything else ("4x", "abc", "", out of
+/// range) check-fails with a message naming `name` (an env var or a flag).
+/// The shared strict parser behind env_long/env_double and Flags.
+long parse_long(const std::string& name, const std::string& text);
+double parse_double(const std::string& name, const std::string& text);
+
 /// Integer env var with default: `fallback` when unset or empty; any other
 /// value that is not entirely an integer check-fails, naming the variable.
 long env_long(const std::string& name, long fallback);
@@ -81,12 +80,8 @@ double env_double(const std::string& name, double fallback);
 /// the dispatch workers then skip their per-build cache log lines.
 bool quiet_from_env();
 
-/// FEDHISYN_GEMM_KERNEL: the requested GEMM kernel variant spec ("auto" when
-/// unset; see tensor/gemm_tune.hpp for the grammar).
+/// FEDHISYN_GEMM_KERNEL: the requested GEMM kernel variant name ("auto" when
+/// unset; see tensor/gemm_tune.hpp).
 std::string gemm_kernel_from_env();
-
-/// FEDHISYN_GEMM_TUNE_CACHE: path of the autotuner-written tuning cache
-/// (empty when unset — built-in defaults apply).
-std::string gemm_tune_cache_from_env();
 
 }  // namespace fedhisyn

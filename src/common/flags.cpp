@@ -1,6 +1,6 @@
 #include "common/flags.hpp"
 
-#include <cstdlib>
+#include "common/env.hpp"
 
 namespace fedhisyn {
 
@@ -43,18 +43,12 @@ std::string Flags::get(const std::string& key, const std::string& fallback) cons
 
 long Flags::get_long(const std::string& key, long fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(it->second.c_str(), &end, 10);
-  return end == it->second.c_str() ? fallback : parsed;
+  return it == values_.end() ? fallback : parse_long("--" + key, it->second);
 }
 
 double Flags::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(it->second.c_str(), &end);
-  return end == it->second.c_str() ? fallback : parsed;
+  return it == values_.end() ? fallback : parse_double("--" + key, it->second);
 }
 
 bool Flags::get_bool(const std::string& key, bool fallback) const {

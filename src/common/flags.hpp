@@ -19,6 +19,8 @@ class Flags {
   bool has(const std::string& key) const;
   /// String value; fallback when absent.
   std::string get(const std::string& key, const std::string& fallback) const;
+  /// Numeric value; fallback when absent.  A value that is not entirely a
+  /// number ("4x", "abc") check-fails, naming the flag.
   long get_long(const std::string& key, long fallback) const;
   double get_double(const std::string& key, double fallback) const;
   /// Boolean switch: present without value (or with "true"/"1") = true.

@@ -21,10 +21,9 @@
 // monotonic clock and heap-allocate thread buffers, but nothing it
 // produces can reach result bytes: spans go to the trace file / the wire
 // telemetry block, both of which the JSONL/CSV sinks exclude.  Every
-// wall-clock read in the repo outside net::Deadline and the GEMM autotuner
-// funnels through this file's now_us()/clock_seconds() seam, which carries
-// the single `determinism: trace-clock` allowlist tag
-// (tools/determinism_allowlist.txt).
+// wall-clock read in the repo outside net::Deadline funnels through this
+// file's now_us()/clock_seconds() seam, which carries the single
+// `determinism: trace-clock` allowlist tag (tools/determinism_allowlist.txt).
 //
 // Recording is lock-free and single-writer: each thread owns a
 // fixed-capacity buffer (allocated lazily on its first traced event) and
@@ -68,8 +67,7 @@ std::int64_t now_us();
 /// Monotonic seconds for timing *metadata* (per-cell seconds, the progress
 /// ETA) that is printed to stderr or put on the wire but never written to a
 /// result sink.  This is the clock seam: the only unconditional wall-clock
-/// read outside net::Deadline and the GEMM autotuner, so the determinism
-/// allowlist stays one entry.
+/// read outside net::Deadline, so the determinism allowlist stays one entry.
 double clock_seconds();
 
 /// One recorded event.  Name/category/argument-name pointers must be

@@ -53,15 +53,9 @@ GridDriverOptions handle_grid_flags(const Flags& flags) {
   if (flags.has("gemm-kernel")) {
     setenv("FEDHISYN_GEMM_KERNEL", flags.get("gemm-kernel", "auto").c_str(),
            /*overwrite=*/1);
-  }
-  if (flags.has("gemm-tune-cache")) {
-    setenv("FEDHISYN_GEMM_TUNE_CACHE", flags.get("gemm-tune-cache", "").c_str(),
-           /*overwrite=*/1);
-  }
-  if (flags.has("gemm-kernel") || flags.has("gemm-tune-cache")) {
-    // Validate immediately: a bad variant name or a malformed cache should
-    // stop the sweep here, not mid-grid inside the first gemm call.  Workers
-    // inherit the env vars set above and resolve independently.
+    // Validate immediately: a bad variant name should stop the sweep here,
+    // not mid-grid inside the first gemm call.  Workers inherit the env var
+    // and resolve independently.
     gemm_runtime_reinit();
   }
   if (flags.get_bool("worker-cell")) {

@@ -38,19 +38,15 @@
 //                     workers inherit; a remote --serve worker reads its
 //                     *own* flag/env).  Never changes result bytes.
 //   --gemm-kernel K   GEMM micro-kernel variant: auto (CPUID dispatch, the
-//                     default) | generic | avx2 | avx512 | neon, optionally
-//                     variant:MRxNR (FEDHISYN_GEMM_KERNEL, which child
-//                     workers inherit).  Bit-identical results either way;
-//                     an unsupported forced variant fails at startup
-//   --gemm-tune-cache FILE
-//                     autotuner-written GEMM tuning cache (bench_gemm_sweep
-//                     --tune; FEDHISYN_GEMM_TUNE_CACHE, which child workers
-//                     inherit).  Scheduling only — never changes result bytes
+//                     default) | generic | avx2 | avx512 | neon
+//                     (FEDHISYN_GEMM_KERNEL, which child workers inherit).
+//                     Bit-identical results either way; an unknown or
+//                     unsupported forced variant fails at startup
 //   --list-methods    print the registered algorithms (one description line
 //                     each) and exit
 //   --gemm-info       print the resolved GEMM dispatch state (selected
-//                     variant, forced kernel, tuning cache, per-class
-//                     configurations) and exit
+//                     variant, its register tile and tile grid, supported
+//                     variants) and exit
 //   --worker-cell     hidden: become a dispatch worker (protocol over the
 //                     socketpair on stdin, see exp/dispatch.hpp); used by
 //                     --dispatch=process to self-exec this binary
@@ -98,12 +94,12 @@ struct GridDriverOptions {
 };
 
 /// Apply the flags shared by every grid driver: export --quiet /
-/// --build-cache-mb / --gemm-kernel / --gemm-tune-cache to their env vars
-/// (before the worker branches, so workers see them; the gemm flags are
-/// validated immediately), enter the hidden --worker-cell mode when
-/// requested, resize the global pool for --threads, resolve --grid-jobs /
-/// --dispatch / --resume / --quiet, capture --out, and handle
-/// --list-methods / --gemm-info (print and exit).
+/// --build-cache-mb / --gemm-kernel to their env vars (before the worker
+/// branches, so workers see them; --gemm-kernel is validated immediately),
+/// enter the hidden --worker-cell mode when requested, resize the global
+/// pool for --threads, resolve --grid-jobs / --dispatch / --resume /
+/// --quiet, capture --out, and handle --list-methods / --gemm-info (print
+/// and exit).
 GridDriverOptions handle_grid_flags(const Flags& flags);
 
 /// Run a grid the standard way: honour --resume (scan `options.out` for

@@ -4,8 +4,9 @@
 // tensor/gemm_tune.cpp):
 //
 //   * C is tiled over (task_rows x NC) tasks: row strips crossed with column
-//     panels.  The 2-D grid is what the pool parallelises over, so wide-N
-//     conv (im2col) shapes scale past `m` threads.
+//     panels, both sized from the kernel's register tile (gemmk::task_rows,
+//     gemmk::panel_cols).  The 2-D grid is what the pool parallelises over,
+//     so wide-N conv (im2col) shapes scale past `m` threads.
 //   * The B column panel is packed once per (thread, panel) into a
 //     contiguous, zero-padded, 64-byte-aligned ScratchArena buffer laid out
 //     in NR-wide sub-panels; A is packed per MR-row strip.  Packing
@@ -16,9 +17,9 @@
 //     the selected k-loop accumulates the *full* k extent, and the valid
 //     corner is stored back.  k is never split and every C element sees its
 //     k terms in ascending order, so results are bit-identical for any
-//     thread count, any tiling, any kernel variant (FEDHISYN_GEMM_KERNEL /
-//     FEDHISYN_GEMM_TUNE_CACHE) and either dispatch path — the determinism
-//     contract of common/parallel.hpp and gemm_kernel.hpp.
+//     thread count, any tiling, any kernel variant (FEDHISYN_GEMM_KERNEL)
+//     and either dispatch path — the determinism contract of
+//     common/parallel.hpp and gemm_kernel.hpp.
 //
 // Historical bit-compatibility: gemm/gemm_tn beta-initialise the accumulator
 // and add the k terms on top (the old memory-accumulation order); gemm_nt
@@ -43,8 +44,8 @@ namespace fedhisyn {
 
 namespace {
 
+using gemmk::GemmKernel;
 using gemmk::GemmOp;
-using gemmk::detail::ResolvedGemm;
 
 // Below this many multiply-accumulates the pack/tile machinery costs more
 // than it saves; use the simple row kernel (same reduction order, so the two
@@ -124,10 +125,10 @@ template <GemmOp V>
 void run_micro_tile(const float* ap, const float* bp, float* c, std::int64_t n,
                     std::int64_t k, std::int64_t i0, std::int64_t j0,
                     std::int64_t mr_valid, std::int64_t nr_valid, float beta,
-                    const ResolvedGemm& cfg) {
+                    const GemmKernel& kernel) {
   alignas(64) float acc[gemmk::kMaxMR * gemmk::kMaxNR];
-  const std::int64_t mr = cfg.mr;
-  const std::int64_t nr = cfg.nr;
+  const std::int64_t mr = kernel.mr;
+  const std::int64_t nr = kernel.nr;
   if (V == GemmOp::kNT || beta == 0.0f) {
     for (std::int64_t ii = 0; ii < mr; ++ii) {
       for (std::int64_t jj = 0; jj < nr; ++jj) acc[ii * nr + jj] = 0.0f;
@@ -149,7 +150,7 @@ void run_micro_tile(const float* ap, const float* bp, float* c, std::int64_t n,
       }
     }
   }
-  cfg.kloop(ap, bp, k, acc);
+  kernel.kloop(ap, bp, k, acc);
   if (V == GemmOp::kNT && beta != 0.0f) {
     // beta == 1 multiplies by exactly 1.0f, so one path covers both.
     for (std::int64_t ii = 0; ii < mr_valid; ++ii) {
@@ -201,11 +202,13 @@ const float* ensure_b_panel(const float* b, std::int64_t k, std::int64_t n,
 template <GemmOp V>
 void blocked_gemm(const float* a, const float* b, float* c, std::int64_t m,
                   std::int64_t k, std::int64_t n, float beta,
-                  const ResolvedGemm& cfg) {
-  const std::int64_t mr = cfg.mr;
-  const std::int64_t nr = cfg.nr;
-  const std::int64_t row_strips = (m + cfg.rows - 1) / cfg.rows;
-  const std::int64_t col_panels = (n + cfg.nc - 1) / cfg.nc;
+                  const GemmKernel& kernel) {
+  const std::int64_t mr = kernel.mr;
+  const std::int64_t nr = kernel.nr;
+  const std::int64_t task_rows = gemmk::task_rows(kernel);
+  const std::int64_t panel_cols = gemmk::panel_cols(kernel);
+  const std::int64_t row_strips = (m + task_rows - 1) / task_rows;
+  const std::int64_t col_panels = (n + panel_cols - 1) / panel_cols;
   const std::int64_t tasks = row_strips * col_panels;
   const std::uint64_t call_id =
       g_gemm_call_id.fetch_add(1, std::memory_order_relaxed);
@@ -220,13 +223,13 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t m,
     // per-thread pack memo hits when the pool hands a thread a run of them.
     const std::int64_t panel_index = task / row_strips;
     const std::int64_t strip_index = task % row_strips;
-    const std::int64_t jc = panel_index * cfg.nc;
-    const std::int64_t nc = std::min(cfg.nc, n - jc);
+    const std::int64_t jc = panel_index * panel_cols;
+    const std::int64_t nc = std::min(panel_cols, n - jc);
     const std::int64_t nc_padded = ((nc + nr - 1) / nr) * nr;
     const float* bp = ensure_b_panel<V>(b, k, n, jc, nc, nr, nc_padded, call_id,
                                         panel_index);
-    const std::int64_t i_begin = strip_index * cfg.rows;
-    const std::int64_t i_end = std::min(m, i_begin + cfg.rows);
+    const std::int64_t i_begin = strip_index * task_rows;
+    const std::int64_t i_end = std::min(m, i_begin + task_rows);
     const std::int64_t strips = (i_end - i_begin + mr - 1) / mr;
     // Pack every A strip of the task up front, then walk B sub-panels in the
     // outer loop: each (k x nr) sub-panel is touched once per task and stays
@@ -247,7 +250,7 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t m,
         // ranges, so a strip must never write into the next task's rows.
         const std::int64_t mr_valid = std::min(mr, i_end - i0);
         run_micro_tile<V>(ap.data() + s * k * mr, panel, c, n, k, i0, jc + jr,
-                          mr_valid, nr_valid, beta, cfg);
+                          mr_valid, nr_valid, beta, kernel);
       }
     }
     if (traced) {
@@ -285,7 +288,7 @@ void for_each_row(std::int64_t m, const RowBody& body) {
 // Small-matrix kernels: the same per-element reduction order as the blocked
 // path (beta first for NN/TN, beta at store for NT; k terms ascending), so
 // the flop-count cutoff never changes a single bit of the result.  Kernel
-// variant and tuning are irrelevant here by construction.
+// variant and tiling are irrelevant here by construction.
 template <GemmOp V>
 void simple_gemm(const float* a, const float* b, float* c, std::int64_t m,
                  std::int64_t k, std::int64_t n, float beta) {
@@ -339,17 +342,14 @@ const char* traced_shape_name(GemmOp op, std::int64_t n) {
   return memo.name;
 }
 
-}  // namespace
-
-namespace gemmk::detail {
-
+// One public gemm call: count it, span it, and run the simple or the
+// blocked path with the process-wide kernel.
 void gemm_run(GemmOp op, const float* a, const float* b, float* c,
-              std::int64_t m, std::int64_t k, std::int64_t n, float beta,
-              const ResolvedGemm& cfg) {
+              std::int64_t m, std::int64_t k, std::int64_t n, float beta) {
   static counters::Counter& calls = counters::counter("gemm.calls");
   calls.add(1);
   // Span name = shape class, so Perfetto's aggregation view groups GEMM
-  // time by the same classes the autotuner keys on; the kernel variant is
+  // time by operand layout and output width; the kernel variant is
   // process-constant and rides along as a string arg.
   trace::TraceSpan span(trace::enabled() ? traced_shape_name(op, n) : "gemm",
                         "gemm");
@@ -362,22 +362,22 @@ void gemm_run(GemmOp op, const float* a, const float* b, float* c,
       case GemmOp::kTN: simple_gemm<GemmOp::kTN>(a, b, c, m, k, n, beta); return;
     }
   }
+  const GemmKernel& kernel = gemm_runtime_kernel();
   switch (op) {
-    case GemmOp::kNN: blocked_gemm<GemmOp::kNN>(a, b, c, m, k, n, beta, cfg); return;
-    case GemmOp::kNT: blocked_gemm<GemmOp::kNT>(a, b, c, m, k, n, beta, cfg); return;
-    case GemmOp::kTN: blocked_gemm<GemmOp::kTN>(a, b, c, m, k, n, beta, cfg); return;
+    case GemmOp::kNN: blocked_gemm<GemmOp::kNN>(a, b, c, m, k, n, beta, kernel); return;
+    case GemmOp::kNT: blocked_gemm<GemmOp::kNT>(a, b, c, m, k, n, beta, kernel); return;
+    case GemmOp::kTN: blocked_gemm<GemmOp::kTN>(a, b, c, m, k, n, beta, kernel); return;
   }
 }
 
-}  // namespace gemmk::detail
+}  // namespace
 
 void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c,
           std::int64_t m, std::int64_t k, std::int64_t n, float beta) {
   FEDHISYN_CHECK(static_cast<std::int64_t>(a.size()) >= m * k);
   FEDHISYN_CHECK(static_cast<std::int64_t>(b.size()) >= k * n);
   FEDHISYN_CHECK(static_cast<std::int64_t>(c.size()) >= m * n);
-  gemmk::detail::gemm_run(gemmk::GemmOp::kNN, a.data(), b.data(), c.data(), m, k,
-                          n, beta, gemm_runtime_config(gemmk::GemmOp::kNN, n));
+  gemm_run(GemmOp::kNN, a.data(), b.data(), c.data(), m, k, n, beta);
 }
 
 void gemm_nt(std::span<const float> a, std::span<const float> b, std::span<float> c,
@@ -385,8 +385,7 @@ void gemm_nt(std::span<const float> a, std::span<const float> b, std::span<float
   FEDHISYN_CHECK(static_cast<std::int64_t>(a.size()) >= m * k);
   FEDHISYN_CHECK(static_cast<std::int64_t>(b.size()) >= n * k);
   FEDHISYN_CHECK(static_cast<std::int64_t>(c.size()) >= m * n);
-  gemmk::detail::gemm_run(gemmk::GemmOp::kNT, a.data(), b.data(), c.data(), m, k,
-                          n, beta, gemm_runtime_config(gemmk::GemmOp::kNT, n));
+  gemm_run(GemmOp::kNT, a.data(), b.data(), c.data(), m, k, n, beta);
 }
 
 void gemm_tn(std::span<const float> a, std::span<const float> b, std::span<float> c,
@@ -394,8 +393,7 @@ void gemm_tn(std::span<const float> a, std::span<const float> b, std::span<float
   FEDHISYN_CHECK(static_cast<std::int64_t>(a.size()) >= k * m);
   FEDHISYN_CHECK(static_cast<std::int64_t>(b.size()) >= k * n);
   FEDHISYN_CHECK(static_cast<std::int64_t>(c.size()) >= m * n);
-  gemmk::detail::gemm_run(gemmk::GemmOp::kTN, a.data(), b.data(), c.data(), m, k,
-                          n, beta, gemm_runtime_config(gemmk::GemmOp::kTN, n));
+  gemm_run(GemmOp::kTN, a.data(), b.data(), c.data(), m, k, n, beta);
 }
 
 }  // namespace fedhisyn

@@ -6,20 +6,18 @@
 // already inside a parallel region), A/B panels are packed into per-thread
 // aligned scratch, and an MRxNR register micro-kernel does the arithmetic.
 // The micro-kernel is multiversioned per ISA (generic / AVX2 / AVX-512 /
-// NEON, see gemm_kernel.hpp) and selected once per process by runtime CPUID
-// dispatch — overridable via FEDHISYN_GEMM_KERNEL, tunable per shape class
-// via an autotuner-written cache (FEDHISYN_GEMM_TUNE_CACHE); the selection
-// layer is tensor/gemm_tune.hpp.  Tiny shapes take a simple row kernel with
-// the identical reduction order.
+// NEON, one register tile each, see gemm_kernel.hpp) and selected once per
+// process by runtime CPUID dispatch — overridable via FEDHISYN_GEMM_KERNEL;
+// the selection layer is tensor/gemm_tune.hpp.  Tiny shapes take a simple
+// row kernel with the identical reduction order.
 //
 // Determinism: i/j are blocked but k never is — every C element accumulates
 // its k terms in ascending order with one rounded multiply and one rounded
 // add per term (no FMA anywhere), so results are bit-identical across thread
-// counts, kernel variants, tile tunings (FEDHISYN_GEMM_TUNE_CACHE, see
-// tensor/gemm_tune.hpp) and dispatch paths.  Not a BLAS replacement — sized for
-// the models the FL simulation trains — but verified against an order-exact
-// reference (every kernel variant forced, exact float equality) in
-// tests/tensor_test.cpp and swept in bench/gemm_sweep.cpp.
+// counts, kernel variants and dispatch paths.  Not a BLAS replacement —
+// sized for the models the FL simulation trains — but verified against an
+// order-exact reference (every kernel variant forced, exact float equality)
+// in tests/tensor_test.cpp and swept in bench/gemm_sweep.cpp.
 #pragma once
 
 #include <cstdint>

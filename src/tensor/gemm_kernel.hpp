@@ -5,7 +5,7 @@
 // panels, beta-initialises an MR x NR staging tile with the per-variant
 // semantics, calls the selected micro-kernel's k-loop, and stores the valid
 // corner back to C.  Only the k-loop is ISA-specific, so a kernel variant is
-// a function pointer plus its register-tile shape.
+// a function pointer plus its one register-tile shape.
 //
 // The k-loop contract is the repo's byte-identity contract in miniature:
 //
@@ -16,15 +16,14 @@
 // make an FMA variant's bytes diverge from the generic kernel's — the
 // kernel TUs compile with -ffp-contract=off, see CMakeLists.txt, and
 // tests/tensor_test.cpp demands exact float equality across every variant).
-// Under that contract the register-tile shape, the ISA and the tile-grid
-// tuning are pure scheduling knobs: every variant produces identical bits.
+// Under that contract the register-tile shape, the ISA and the tile grid
+// are pure scheduling: every variant produces identical bits.
 //
-// Runtime selection (CPUID dispatch, FEDHISYN_GEMM_KERNEL, the tuning
-// cache) lives one layer up in tensor/gemm_tune.hpp.
+// Runtime selection (CPUID dispatch, FEDHISYN_GEMM_KERNEL) lives one layer
+// up in tensor/gemm_tune.hpp.
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 namespace fedhisyn::gemmk {
 
@@ -35,8 +34,8 @@ enum class GemmOp { kNN, kNT, kTN };
 
 /// Largest register tile any variant declares; the driver's staging
 /// accumulator is sized to this (a 64-byte-aligned stack array).
-inline constexpr std::int64_t kMaxMR = 16;
-inline constexpr std::int64_t kMaxNR = 32;
+inline constexpr std::int64_t kMaxMR = 8;
+inline constexpr std::int64_t kMaxNR = 16;
 
 /// Micro-kernel k-loop: accumulate the full k extent of one register tile
 /// into the staging accumulator `acc` (mr x nr row-major, 64-byte aligned,
@@ -46,51 +45,34 @@ inline constexpr std::int64_t kMaxNR = 32;
 using KloopFn = void (*)(const float* ap, const float* bp, std::int64_t k,
                          float* acc);
 
-/// One register-tile shape of one ISA variant.
+/// A variant's register tile and the k-loop that fills it.
 struct GemmKernel {
-  const char* label;  // "4x8", "8x8", ... == "<mr>x<nr>"
   std::int64_t mr;
   std::int64_t nr;
-  KloopFn kloop;
+  KloopFn kloop;  // nullptr where the variant cannot run
 };
 
-/// One ISA variant: a runtime support predicate plus its kernel shapes,
-/// preferred shape first (the default when no tuning cache says otherwise).
+/// The tile grid the driver derives from a register tile: column panels of
+/// 512 columns (rounded up to whole register tiles) and two register tiles
+/// of rows per parallel task.
+inline std::int64_t panel_cols(const GemmKernel& kernel) {
+  return (512 + kernel.nr - 1) / kernel.nr * kernel.nr;
+}
+inline std::int64_t task_rows(const GemmKernel& kernel) { return 2 * kernel.mr; }
+
+/// One ISA variant: a runtime support predicate plus its register tile.
 struct GemmVariant {
-  const char* name;    // "generic", "avx2", "avx512", "neon"
+  const char* name;     // "generic", "avx2", "avx512", "neon"
   bool (*supported)();  // runtime CPUID on x86, compile-time on aarch64
-  std::span<const GemmKernel> kernels;
+  GemmKernel kernel;
 };
 
 /// The four variants.  Every accessor exists on every platform; a variant
-/// that cannot run here reports supported() == false with an empty kernel
-/// list (so FEDHISYN_GEMM_KERNEL=neon on x86 fails loudly, not mysteriously).
+/// that cannot run here reports supported() == false and has no k-loop (so
+/// FEDHISYN_GEMM_KERNEL=neon on x86 fails loudly, not mysteriously).
 const GemmVariant& gemm_variant_generic();  // always supported
 const GemmVariant& gemm_variant_avx2();
 const GemmVariant& gemm_variant_avx512();
 const GemmVariant& gemm_variant_neon();
-
-namespace detail {
-
-/// Fully-resolved kernel + tile-grid configuration for one gemm call: what
-/// the driver actually executes.  Produced by the runtime selection layer
-/// (tensor/gemm_tune.cpp) or directly by the autotuner's candidate sweep.
-struct ResolvedGemm {
-  std::int64_t mr = 4;
-  std::int64_t nr = 8;
-  std::int64_t nc = 512;    // column-panel width (multiple of nr)
-  std::int64_t rows = 8;    // rows per parallel task (multiple of mr)
-  KloopFn kloop = nullptr;
-};
-
-/// The blocked/packed driver entry used by both the public gemm()/gemm_nt()/
-/// gemm_tn() wrappers (with the runtime-selected config) and the autotuner
-/// (with each candidate config, no global state touched).  Spans are
-/// pre-checked by the callers.
-void gemm_run(GemmOp op, const float* a, const float* b, float* c,
-              std::int64_t m, std::int64_t k, std::int64_t n, float beta,
-              const ResolvedGemm& cfg);
-
-}  // namespace detail
 
 }  // namespace fedhisyn::gemmk

@@ -1,7 +1,7 @@
-// AVX2 GEMM micro-kernels: 8x8 (one ymm column of accumulators) and 6x16
-// (two ymm columns).  Function-level `target("avx2")` attributes keep the
-// rest of the TU baseline-ISA — no per-file -mavx2, so no AVX2 code can leak
-// into functions a non-AVX2 host might execute via comdat folding — and the
+// AVX2 GEMM micro-kernel: the 8x8 register tile (one ymm column of
+// accumulators).  Function-level `target("avx2")` attributes keep the rest
+// of the TU baseline-ISA — no per-file -mavx2, so no AVX2 code can leak into
+// functions a non-AVX2 host might execute via comdat folding — and the
 // runtime predicate is __builtin_cpu_supports.
 //
 // Deliberately NO FMA, by construction and not just by flag: the target
@@ -41,37 +41,6 @@ __attribute__((target("avx2"))) void kloop_8x8(const float* ap, const float* bp,
   for (int ii = 0; ii < 8; ++ii) _mm256_storeu_ps(acc + ii * 8, vacc[ii]);
 }
 
-// 6x16: 12 accumulators + 2 b loads + 1 broadcast = 15 of 16 ymm regs.  The
-// wider tile reads each packed B element once per 6 rows instead of once per
-// 8, which favours the wide-n conv shapes.
-__attribute__((target("avx2"))) void kloop_6x16(const float* ap, const float* bp,
-                                                std::int64_t k, float* acc) {
-  __m256 vacc[6][2];
-  for (int ii = 0; ii < 6; ++ii) {
-    vacc[ii][0] = _mm256_loadu_ps(acc + ii * 16);
-    vacc[ii][1] = _mm256_loadu_ps(acc + ii * 16 + 8);
-  }
-  for (std::int64_t p = 0; p < k; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(bp + p * 16);
-    const __m256 b1 = _mm256_loadu_ps(bp + p * 16 + 8);
-    const float* a = ap + p * 6;
-    for (int ii = 0; ii < 6; ++ii) {
-      const __m256 ai = _mm256_set1_ps(a[ii]);
-      vacc[ii][0] = _mm256_add_ps(vacc[ii][0], _mm256_mul_ps(ai, b0));
-      vacc[ii][1] = _mm256_add_ps(vacc[ii][1], _mm256_mul_ps(ai, b1));
-    }
-  }
-  for (int ii = 0; ii < 6; ++ii) {
-    _mm256_storeu_ps(acc + ii * 16, vacc[ii][0]);
-    _mm256_storeu_ps(acc + ii * 16 + 8, vacc[ii][1]);
-  }
-}
-
-constexpr GemmKernel kKernels[] = {
-    {"8x8", 8, 8, kloop_8x8},
-    {"6x16", 6, 16, kloop_6x16},
-};
-
 #else  // non-x86: the variant exists but reports unsupported.
 
 bool avx2_supported() { return false; }
@@ -82,11 +51,9 @@ bool avx2_supported() { return false; }
 
 const GemmVariant& gemm_variant_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
-  static const GemmVariant variant{"avx2", avx2_supported,
-                                   std::span<const GemmKernel>(kKernels)};
+  static const GemmVariant variant{"avx2", avx2_supported, {8, 8, kloop_8x8}};
 #else
-  static const GemmVariant variant{"avx2", avx2_supported,
-                                   std::span<const GemmKernel>()};
+  static const GemmVariant variant{"avx2", avx2_supported, {8, 8, nullptr}};
 #endif
   return variant;
 }

@@ -1,11 +1,10 @@
-// AVX-512F GEMM micro-kernels: 8x16 (one zmm column) and 14x32 (two zmm
-// columns, 28 accumulators + 2 b loads + 1 broadcast = 31 of 32 zmm regs).
-// Same construction as the AVX2 TU: function-level `target("avx512f")`
-// attributes (no per-file -mavx512f), runtime __builtin_cpu_supports
-// dispatch, and strictly mul-then-add arithmetic — the target attribute
-// enables avx512f only, and each k term is one rounded _mm512_mul_ps plus
-// one rounded _mm512_add_ps, so results are bit-identical to the generic
-// kernel (gemm_kernel.hpp).
+// AVX-512F GEMM micro-kernel: the 8x16 register tile (one zmm column of
+// accumulators).  Same construction as the AVX2 TU: function-level
+// `target("avx512f")` attributes (no per-file -mavx512f), runtime
+// __builtin_cpu_supports dispatch, and strictly mul-then-add arithmetic —
+// the target attribute enables avx512f only, and each k term is one rounded
+// _mm512_mul_ps plus one rounded _mm512_add_ps, so results are bit-identical
+// to the generic kernel (gemm_kernel.hpp).
 #include "tensor/gemm_kernel.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -35,37 +34,8 @@ __attribute__((target("avx512f"))) void kloop_8x16(const float* ap,
   for (int ii = 0; ii < 8; ++ii) _mm512_storeu_ps(acc + ii * 16, vacc[ii]);
 }
 
-__attribute__((target("avx512f"))) void kloop_14x32(const float* ap,
-                                                    const float* bp,
-                                                    std::int64_t k, float* acc) {
-  __m512 vacc[14][2];
-  for (int ii = 0; ii < 14; ++ii) {
-    vacc[ii][0] = _mm512_loadu_ps(acc + ii * 32);
-    vacc[ii][1] = _mm512_loadu_ps(acc + ii * 32 + 16);
-  }
-  for (std::int64_t p = 0; p < k; ++p) {
-    const __m512 b0 = _mm512_loadu_ps(bp + p * 32);
-    const __m512 b1 = _mm512_loadu_ps(bp + p * 32 + 16);
-    const float* a = ap + p * 14;
-    for (int ii = 0; ii < 14; ++ii) {
-      const __m512 ai = _mm512_set1_ps(a[ii]);
-      vacc[ii][0] = _mm512_add_ps(vacc[ii][0], _mm512_mul_ps(ai, b0));
-      vacc[ii][1] = _mm512_add_ps(vacc[ii][1], _mm512_mul_ps(ai, b1));
-    }
-  }
-  for (int ii = 0; ii < 14; ++ii) {
-    _mm512_storeu_ps(acc + ii * 32, vacc[ii][0]);
-    _mm512_storeu_ps(acc + ii * 32 + 16, vacc[ii][1]);
-  }
-}
-
-constexpr GemmKernel kKernels[] = {
-    {"8x16", 8, 16, kloop_8x16},
-    {"14x32", 14, 32, kloop_14x32},
-};
-
 // The staging accumulator must fit the largest tile declared anywhere.
-static_assert(14 <= kMaxMR && 32 <= kMaxNR);
+static_assert(8 <= kMaxMR && 16 <= kMaxNR);
 
 #else  // non-x86: the variant exists but reports unsupported.
 
@@ -78,10 +48,9 @@ bool avx512_supported() { return false; }
 const GemmVariant& gemm_variant_avx512() {
 #if defined(__x86_64__) || defined(__i386__)
   static const GemmVariant variant{"avx512", avx512_supported,
-                                   std::span<const GemmKernel>(kKernels)};
+                                   {8, 16, kloop_8x16}};
 #else
-  static const GemmVariant variant{"avx512", avx512_supported,
-                                   std::span<const GemmKernel>()};
+  static const GemmVariant variant{"avx512", avx512_supported, {8, 16, nullptr}};
 #endif
   return variant;
 }

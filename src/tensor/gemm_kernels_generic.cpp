@@ -118,15 +118,11 @@ void kloop_4x8(const float* ap, const float* bp, std::int64_t k, float* acc) {
 
 bool always_supported() { return true; }
 
-constexpr GemmKernel kKernels[] = {
-    {"4x8", kMR, kNR, kloop_4x8},
-};
-
 }  // namespace
 
 const GemmVariant& gemm_variant_generic() {
   static const GemmVariant variant{"generic", always_supported,
-                                   std::span<const GemmKernel>(kKernels)};
+                                   {kMR, kNR, kloop_4x8}};
   return variant;
 }
 

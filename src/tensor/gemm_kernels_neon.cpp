@@ -1,7 +1,8 @@
-// NEON GEMM micro-kernels (aarch64): 4x8 and 8x8 on 128-bit q registers.
-// AArch64 mandates Advanced SIMD, so support is a compile-time fact — no
-// runtime probe needed — and on every other architecture the variant exists
-// but reports unsupported (so FEDHISYN_GEMM_KERNEL=neon fails loudly on x86).
+// NEON GEMM micro-kernel (aarch64): the 8x8 register tile on 128-bit q
+// registers.  AArch64 mandates Advanced SIMD, so support is a compile-time
+// fact — no runtime probe needed — and on every other architecture the
+// variant exists but reports unsupported (so FEDHISYN_GEMM_KERNEL=neon fails
+// loudly on x86).
 //
 // Arithmetic is vmulq_f32 followed by vaddq_f32 — deliberately NOT
 // vmlaq_f32/vfmaq_f32, which lower to FMLA (fused, unrounded product) and
@@ -21,28 +22,6 @@ namespace {
 #if defined(__aarch64__)
 
 bool neon_supported() { return true; }
-
-void kloop_4x8(const float* ap, const float* bp, std::int64_t k, float* acc) {
-  float32x4_t vacc[4][2];
-  for (int ii = 0; ii < 4; ++ii) {
-    vacc[ii][0] = vld1q_f32(acc + ii * 8);
-    vacc[ii][1] = vld1q_f32(acc + ii * 8 + 4);
-  }
-  for (std::int64_t p = 0; p < k; ++p) {
-    const float32x4_t b0 = vld1q_f32(bp + p * 8);
-    const float32x4_t b1 = vld1q_f32(bp + p * 8 + 4);
-    const float* a = ap + p * 4;
-    for (int ii = 0; ii < 4; ++ii) {
-      const float32x4_t ai = vdupq_n_f32(a[ii]);
-      vacc[ii][0] = vaddq_f32(vacc[ii][0], vmulq_f32(ai, b0));
-      vacc[ii][1] = vaddq_f32(vacc[ii][1], vmulq_f32(ai, b1));
-    }
-  }
-  for (int ii = 0; ii < 4; ++ii) {
-    vst1q_f32(acc + ii * 8, vacc[ii][0]);
-    vst1q_f32(acc + ii * 8 + 4, vacc[ii][1]);
-  }
-}
 
 // 8x8: 16 accumulators + 2 b loads + 1 dup = 19 of 32 q registers.
 void kloop_8x8(const float* ap, const float* bp, std::int64_t k, float* acc) {
@@ -67,11 +46,6 @@ void kloop_8x8(const float* ap, const float* bp, std::int64_t k, float* acc) {
   }
 }
 
-constexpr GemmKernel kKernels[] = {
-    {"8x8", 8, 8, kloop_8x8},
-    {"4x8", 4, 8, kloop_4x8},
-};
-
 #else  // non-aarch64: the variant exists but reports unsupported.
 
 bool neon_supported() { return false; }
@@ -82,11 +56,9 @@ bool neon_supported() { return false; }
 
 const GemmVariant& gemm_variant_neon() {
 #if defined(__aarch64__)
-  static const GemmVariant variant{"neon", neon_supported,
-                                   std::span<const GemmKernel>(kKernels)};
+  static const GemmVariant variant{"neon", neon_supported, {8, 8, kloop_8x8}};
 #else
-  static const GemmVariant variant{"neon", neon_supported,
-                                   std::span<const GemmKernel>()};
+  static const GemmVariant variant{"neon", neon_supported, {8, 8, nullptr}};
 #endif
   return variant;
 }

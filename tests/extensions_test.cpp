@@ -57,11 +57,20 @@ TEST(Flags, PositionalAndFallbacks) {
   EXPECT_DOUBLE_EQ(flags.get_double("x", 0.0), 1.0);
 }
 
-TEST(Flags, MalformedNumbersFallBack) {
-  const char* argv[] = {"--n=abc"};
-  const auto flags = Flags::parse(1, argv);
-  EXPECT_EQ(flags.get_long("n", 7), 7);
-  EXPECT_DOUBLE_EQ(flags.get_double("n", 2.5), 2.5);
+TEST(Flags, MalformedNumbersFailLoudly) {
+  // A value that is not entirely a number check-fails, naming the flag,
+  // instead of falling back ("abc") or truncating to its prefix ("4x").
+  const char* argv[] = {"--n=abc", "--m=4x"};
+  const auto flags = Flags::parse(2, argv);
+  EXPECT_THROW(flags.get_long("n", 7), CheckError);
+  EXPECT_THROW(flags.get_double("n", 2.5), CheckError);
+  EXPECT_THROW(flags.get_double("m", 2.5), CheckError);
+  try {
+    flags.get_long("m", 7);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("--m='4x'"), std::string::npos);
+  }
 }
 
 // -------------------------------------------------------------- Serialize --
