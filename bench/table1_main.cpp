@@ -9,8 +9,8 @@
 // that never reach the target — exactly the paper's cell format.
 //
 // The sweep is a declarative ExperimentGrid fanned out by GridScheduler:
-//   --grid-jobs N     run N cells concurrently (FEDHISYN_GRID_JOBS fallback;
-//                     results are byte-identical to a serial run)
+//   --grid-jobs N     run N cells concurrently (results are byte-identical
+//                     to a serial run)
 //   --threads N       total worker-thread budget (FEDHISYN_THREADS fallback)
 //   --out PATH        per-cell results as JSONL (or CSV with *.csv)
 //   --part 100,50     restrict participation %

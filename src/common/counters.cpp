@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "common/thread_annotations.hpp"
 
 namespace fedhisyn::counters {
@@ -116,33 +117,27 @@ std::vector<std::pair<std::string, std::uint64_t>> delta(
 }
 
 void write_metrics(const std::string& path) {
+  // Names are escaped: worker counter names arrive off the wire.
   std::string out = "{\n  \"schema\": \"fedhisyn-metrics/1\",\n  \"counters\": {";
-  char buf[160];
   RegistryState& reg = state();
   MutexLock lock(reg.mutex);
   bool first = true;
   for (const auto& [name, counter] : reg.counters) {
-    std::snprintf(buf, sizeof(buf), "%s\n    \"%s\": %llu", first ? "" : ",",
-                  name.c_str(), static_cast<unsigned long long>(counter->get()));
-    out += buf;
+    out += first ? "\n    \"" : ",\n    \"";
+    out += json::escape(name) + "\": " + std::to_string(counter->get());
     first = false;
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
   first = true;
   for (const auto& [name, histogram] : reg.histograms) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s\n    \"%s\": {\"count\": %llu, \"sum\": %llu, \"min\": %llu, "
-        "\"max\": %llu, \"p50\": %llu, \"p95\": %llu}",
-        first ? "" : ",", name.c_str(),
-        static_cast<unsigned long long>(histogram->count()),
-        static_cast<unsigned long long>(histogram->sum()),
-        static_cast<unsigned long long>(histogram->min()),
-        static_cast<unsigned long long>(histogram->max()),
-        static_cast<unsigned long long>(histogram->quantile(0.5)),
-        static_cast<unsigned long long>(histogram->quantile(0.95)));
-    out += buf;
+    out += first ? "\n    \"" : ",\n    \"";
+    out += json::escape(name) + "\": {\"count\": " + std::to_string(histogram->count()) +
+           ", \"sum\": " + std::to_string(histogram->sum()) +
+           ", \"min\": " + std::to_string(histogram->min()) +
+           ", \"max\": " + std::to_string(histogram->max()) +
+           ", \"p50\": " + std::to_string(histogram->quantile(0.5)) +
+           ", \"p95\": " + std::to_string(histogram->quantile(0.95)) + "}";
     first = false;
   }
   out += first ? "}\n}\n" : "\n  }\n}\n";

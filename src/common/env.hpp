@@ -3,17 +3,6 @@
 // Knobs recognised across the library:
 //   FEDHISYN_FULL=1          paper-scale experiment sizes (see presets.hpp)
 //   FEDHISYN_THREADS=N       worker-pool size (see common/parallel.hpp)
-//   FEDHISYN_GRID_JOBS=N     concurrent grid cells (see exp/scheduler.hpp)
-//   FEDHISYN_DISPATCH=thread|process|tcp
-//                            grid cell backend: in-process worker threads
-//                            (default), a crash-isolated pool of worker
-//                            processes, or remote --serve workers over TCP
-//                            (exp/dispatch.hpp).  Output files are
-//                            byte-identical in all three modes.
-//   FEDHISYN_WORKERS=host:port,...
-//                            worker endpoints for the tcp backend (fallback
-//                            for --workers); each host runs this binary in
-//                            --serve mode.
 //   FEDHISYN_WORKER_RETRIES=N
 //                            extra attempts for a grid cell whose dispatch
 //                            worker crashed, hung past the cell timeout or
@@ -45,12 +34,9 @@
 //   FEDHISYN_QUIET=1         suppress the dispatch workers' per-build cache
 //                            log lines on stderr (--quiet sets this so child
 //                            workers inherit it).
-//   FEDHISYN_TRACE=FILE      write a Chrome-trace/Perfetto JSON timeline of
-//                            the run to FILE (fallback for the grid drivers'
-//                            --trace flag; see common/trace.hpp and
-//                            docs/OBSERVABILITY.md).  Tracing is pure
-//                            observability: result files are byte-identical
-//                            traced or not.
+// The grid backend, its concurrency, worker endpoints and tracing are
+// command-line flags only (exp/driver.hpp): --dispatch, --grid-jobs,
+// --workers, --trace.
 #pragma once
 
 #include <string>

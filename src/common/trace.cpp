@@ -7,6 +7,7 @@
 #include <set>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "common/thread_annotations.hpp"
 
 namespace fedhisyn::trace {
@@ -112,31 +113,12 @@ Mutex& intern_mutex() {
   return *mutex;
 }
 
-void json_escape_into(std::string& out, const char* text) {
-  for (const char* c = text; *c != '\0'; ++c) {
-    switch (*c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(*c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", *c);
-          out += buf;
-        } else {
-          out += *c;
-        }
-    }
-  }
-}
-
 void append_event_json(std::string& out, int pid, const Event& event) {
   char buf[160];
   out += "{\"name\":\"";
-  json_escape_into(out, event.name);
+  out += json::escape(event.name);
   out += "\",\"cat\":\"";
-  json_escape_into(out, event.cat != nullptr ? event.cat : "misc");
+  out += json::escape(event.cat != nullptr ? event.cat : "misc");
   std::snprintf(buf, sizeof(buf), "\",\"ph\":\"%c\",\"pid\":%d,\"tid\":%u,\"ts\":%lld",
                 event.ph, pid, event.tid, static_cast<long long>(event.ts_us));
   out += buf;
@@ -146,31 +128,26 @@ void append_event_json(std::string& out, int pid, const Event& event) {
     out += buf;
   }
   if (event.ph == 'i') out += ",\"s\":\"t\"";
-  const bool counter = event.ph == 'C';
-  if (counter || event.arg1_name != nullptr || event.sarg_name != nullptr) {
+  if (event.arg1_name != nullptr || event.sarg_name != nullptr) {
     out += ",\"args\":{";
     bool first = true;
     const auto int_arg = [&](const char* name, std::int64_t value) {
       if (!first) out += ",";
       first = false;
       out += "\"";
-      json_escape_into(out, name);
+      out += json::escape(name);
       std::snprintf(buf, sizeof(buf), "\":%lld", static_cast<long long>(value));
       out += buf;
     };
-    if (counter) {
-      int_arg("value", event.arg1);
-    } else {
-      if (event.arg1_name != nullptr) int_arg(event.arg1_name, event.arg1);
-      if (event.arg2_name != nullptr) int_arg(event.arg2_name, event.arg2);
-    }
+    if (event.arg1_name != nullptr) int_arg(event.arg1_name, event.arg1);
+    if (event.arg2_name != nullptr) int_arg(event.arg2_name, event.arg2);
     if (event.sarg_name != nullptr && event.sarg != nullptr) {
       if (!first) out += ",";
       first = false;
       out += "\"";
-      json_escape_into(out, event.sarg_name);
+      out += json::escape(event.sarg_name);
       out += "\":\"";
-      json_escape_into(out, event.sarg);
+      out += json::escape(event.sarg);
       out += "\"";
     }
     out += "}";
@@ -236,19 +213,6 @@ void instant(const char* name, const char* cat) {
   event.cat = cat;
   event.ph = 'i';
   event.ts_us = now_us();
-  ThreadBuffer& buffer = local_buffer();
-  event.tid = buffer.tid;
-  buffer.push(event);
-}
-
-void counter_sample(const char* name, std::int64_t value) {
-  if (!enabled()) return;
-  Event event;
-  event.name = name;
-  event.cat = "counter";
-  event.ph = 'C';
-  event.ts_us = now_us();
-  event.arg1 = value;
   ThreadBuffer& buffer = local_buffer();
   event.tid = buffer.tid;
   buffer.push(event);
@@ -367,7 +331,7 @@ void write_chrome_trace(const std::string& path) {
                     "\"tid\":0,\"args\":{\"name\":\"",
                     pid);
       out += buf;
-      json_escape_into(out, name.c_str());
+      out += json::escape(name);
       out += "\"}}";
     }
     for (const auto& [pid, event] : state.events) {

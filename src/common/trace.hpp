@@ -1,7 +1,8 @@
-// Chrome-trace-event tracing plane: RAII spans, instants and counter samples
-// recorded into lock-free per-thread buffers, flushed as Perfetto-loadable
-// JSON ({"traceEvents":[...]}) by the grid drivers' --trace FILE flag
-// (FEDHISYN_TRACE fallback; see exp/driver.hpp and docs/OBSERVABILITY.md).
+// Chrome-trace-event tracing plane: RAII spans and instants recorded into
+// lock-free per-thread buffers, flushed as Perfetto-loadable JSON
+// ({"traceEvents":[...]}) by the grid drivers' --trace FILE flag (see
+// exp/driver.hpp and docs/OBSERVABILITY.md).  Run statistics are counters
+// (common/counters.hpp), not trace events.
 //
 // Two consumption modes share the same recording path:
 //
@@ -77,7 +78,7 @@ double clock_seconds();
 struct Event {
   const char* name = nullptr;
   const char* cat = nullptr;
-  char ph = 'X';  // 'X' complete span, 'i' instant, 'C' counter
+  char ph = 'X';  // 'X' complete span, 'i' instant
   std::uint32_t tid = 0;
   std::int64_t ts_us = 0;
   std::int64_t dur_us = 0;
@@ -144,9 +145,6 @@ class TraceSpan {
 
 /// Record an 'i' (instant) event on the calling thread.  No-op when off.
 void instant(const char* name, const char* cat);
-
-/// Record a 'C' (counter) sample on the calling thread.  No-op when off.
-void counter_sample(const char* name, std::int64_t value);
 
 /// Record a complete span with explicit timestamps (for async lifecycles —
 /// the dispatch plane's queue→feed→result cells — where RAII scoping does

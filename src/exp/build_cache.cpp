@@ -15,9 +15,9 @@ double mib(std::size_t bytes) {
   return static_cast<double>(bytes) / (1024.0 * 1024.0);
 }
 
-// Registry mirrors of the per-cache tallies: every BuildCache instance adds
-// into one process-wide set of names, so --metrics-out reports cache
-// behaviour whichever backend (thread pool, worker process) owned the cache.
+// The only tally of cache behaviour: every BuildCache instance adds into one
+// process-wide set of names, so --metrics-out reports it whichever backend
+// (thread pool, worker process) owned the cache.
 counters::Counter& hit_counter() {
   static counters::Counter& counter = counters::counter("build_cache.hits");
   return counter;
@@ -64,10 +64,6 @@ std::shared_ptr<const core::BuiltExperiment> BuildCache::get(
     const ExperimentSpec& spec, bool* out_hit) {
   const std::string key = spec.build_key();
   if (config_.max_bytes == 0) {
-    {
-      MutexLock lock(mutex_);
-      ++misses_;
-    }
     miss_counter().add(1);
     log_line("miss (cache disabled)", key, -1.0);
     if (out_hit != nullptr) *out_hit = false;
@@ -84,11 +80,6 @@ std::shared_ptr<const core::BuiltExperiment> BuildCache::get(
     if (!hit) slot = std::make_shared<Entry>();
     entry = slot;
     entry->last_use = ++tick_;
-    if (hit) {
-      ++hits_;
-    } else {
-      ++misses_;
-    }
   }
   (hit ? hit_counter() : miss_counter()).add(1);
   // The miss line prints *before* the build so a warm-up phase that takes
@@ -158,7 +149,6 @@ void BuildCache::evict_past_budget() {
     Entry& victim = *lru->second;
     resident_bytes_ -= victim.bytes;
     victim.resident = false;
-    ++evictions_;
     eviction_counter().add(1);
     if (!config_.log_tag.empty()) {
       std::fprintf(stderr, "%s: build evict %s: freed %.1f MiB (LRU, budget %.1f MiB)\n",
@@ -172,9 +162,6 @@ void BuildCache::evict_past_budget() {
 BuildCache::Stats BuildCache::stats() const {
   MutexLock lock(mutex_);
   Stats stats;
-  stats.hits = hits_;
-  stats.misses = misses_;
-  stats.evictions = evictions_;
   stats.resident_bytes = resident_bytes_;
   stats.resident_builds = entries_.size();
   return stats;

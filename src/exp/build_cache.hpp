@@ -15,17 +15,19 @@
 //
 // Concurrency: get() is safe from any number of threads.  Same-key callers
 // are deduped on a per-entry once_flag (the first caller builds, the rest
-// wait), different keys build concurrently, and the map/counters are
-// mutex-guarded with clang thread-safety annotations.  Eviction only drops
-// the cache's reference — cells still running on an evicted build keep it
-// alive through their shared_ptr.
+// wait), different keys build concurrently, and the map is mutex-guarded
+// with clang thread-safety annotations.  Eviction only drops the cache's
+// reference — cells still running on an evicted build keep it alive through
+// their shared_ptr.
 //
 // Determinism: the cache decides *when* a build happens, never what a cell
 // computes — a build is a pure function of the spec's build fields, so hit,
-// miss and evict sequences cannot reach result bytes.  Hit/miss/eviction
-// counters are observability only: they travel in the dispatch wire
-// protocol's `cache` block and the serve log, and the JSONL/CSV sinks
-// exclude them (like CellResult::seconds).
+// miss and evict sequences cannot reach result bytes.  Hits, misses and
+// evictions are counted once, in the process counter registry
+// (build_cache.hits/misses/evictions, common/counters.hpp): a dispatch
+// worker ships them to the coordinator as per-cell counter deltas in the
+// wire protocol's `telemetry` block, the serve log reads them back, and the
+// JSONL/CSV sinks never see them (like CellResult::seconds).
 #pragma once
 
 #include <cstddef>
@@ -53,13 +55,9 @@ class BuildCache {
     std::string log_tag;
   };
 
-  /// Counter snapshot.  hits/misses/evictions are cumulative over the
-  /// cache's lifetime (for a --serve worker: across connections and sweeps);
-  /// resident_* describe the current contents.
+  /// What the cache holds right now.  Hit/miss/eviction counts live in the
+  /// counter registry (build_cache.*), not here.
   struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
     std::size_t resident_bytes = 0;
     std::size_t resident_builds = 0;
   };
@@ -73,9 +71,11 @@ class BuildCache {
 
   /// The build for `spec`, warm when a build with the same build_key() is
   /// resident, freshly built (and made resident, evicting LRU entries past
-  /// the byte budget) otherwise.  `out_hit`, when non-null, receives whether
-  /// this call was served without building (a concurrent same-key caller
-  /// that waits on the builder counts as a hit — no duplicate build ran).
+  /// the byte budget) otherwise.  Counts one build_cache.hits or
+  /// build_cache.misses (and any evictions) in the counter registry.
+  /// `out_hit`, when non-null, receives whether this call was served without
+  /// building (a concurrent same-key caller that waits on the builder counts
+  /// as a hit — no duplicate build ran).
   std::shared_ptr<const core::BuiltExperiment> get(const ExperimentSpec& spec,
                                                    bool* out_hit = nullptr);
 
@@ -115,9 +115,6 @@ class BuildCache {
   std::map<std::string, std::shared_ptr<Entry>> entries_
       FEDHISYN_GUARDED_BY(mutex_);
   std::size_t resident_bytes_ FEDHISYN_GUARDED_BY(mutex_) = 0;
-  std::uint64_t hits_ FEDHISYN_GUARDED_BY(mutex_) = 0;
-  std::uint64_t misses_ FEDHISYN_GUARDED_BY(mutex_) = 0;
-  std::uint64_t evictions_ FEDHISYN_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace fedhisyn::exp

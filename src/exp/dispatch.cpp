@@ -38,7 +38,7 @@ constexpr double kDefaultHelloGraceS = 60.0;
 // ----------------------------------------------------------- wire codec --
 
 std::string encode_hello() {
-  return "{\"hello\":\"fedhisyn-worker\",\"proto\":1}";
+  return "{\"hello\":\"fedhisyn-worker\",\"proto\":2}";
 }
 
 /// Check-fails unless `line` is this protocol's hello — the first line on a
@@ -51,8 +51,10 @@ void validate_hello(const std::string& line, const std::string& who) {
     const json::Value* proto = doc.find("proto");
     if (hello == nullptr || hello->as_string() != "fedhisyn-worker") {
       problem = "it did not identify as a fedhisyn dispatch worker";
-    } else if (proto == nullptr || proto->as_long() != 1) {
-      problem = "it speaks an unknown protocol revision";
+    } else if (proto == nullptr || proto->as_long() != 2) {
+      problem = "it speaks protocol revision " +
+                (proto != nullptr ? proto->text : std::string("(none)")) +
+                ", this coordinator speaks revision 2";
     }
   } catch (const std::exception&) {
     problem = "its greeting is not JSON";
@@ -79,11 +81,6 @@ std::string encode_ok_response(const CellResult& cell) {
   const core::ExperimentResult& result = cell.result;
   std::ostringstream out;
   out << "{\"ok\":true,\"seconds\":" << json::fmt_double(cell.seconds)
-      << ",\"cache\":{\"hit\":" << (cell.cache.hit ? "true" : "false")
-      << ",\"hits\":" << cell.cache.hits << ",\"misses\":" << cell.cache.misses
-      << ",\"evictions\":" << cell.cache.evictions
-      << ",\"resident_bytes\":" << cell.cache.resident_bytes
-      << ",\"resident_builds\":" << cell.cache.resident_builds << "}"
       << ",\"telemetry\":{\"dropped\":" << cell.telemetry.dropped
       << ",\"spans\":[";
   for (std::size_t i = 0; i < cell.telemetry.spans.size(); ++i) {
@@ -155,34 +152,12 @@ Response parse_response(const std::string& line) {
     return *value;
   };
   response.cell.seconds = field("seconds").as_double();
-  // Like `seconds`, the cache block reports worker-side observability the
-  // result sinks exclude — still a required field, so a worker that stops
-  // reporting it is caught immediately rather than silently losing stats.
-  const json::Value& cache = field("cache");
-  FEDHISYN_CHECK_MSG(cache.kind == json::Value::Kind::kObject,
-                     "worker response 'cache' is not an object");
-  const auto cache_field = [&](const char* name) -> const json::Value& {
-    const json::Value* value = cache.find(name);
-    FEDHISYN_CHECK_MSG(value != nullptr,
-                       "worker response cache block lacks '" << name << "'");
-    return *value;
-  };
-  response.cell.cache.valid = true;
-  response.cell.cache.hit = cache_field("hit").as_bool();
-  response.cell.cache.hits =
-      static_cast<std::uint64_t>(cache_field("hits").as_long());
-  response.cell.cache.misses =
-      static_cast<std::uint64_t>(cache_field("misses").as_long());
-  response.cell.cache.evictions =
-      static_cast<std::uint64_t>(cache_field("evictions").as_long());
-  response.cell.cache.resident_bytes =
-      static_cast<std::size_t>(cache_field("resident_bytes").as_long());
-  response.cell.cache.resident_builds =
-      static_cast<std::size_t>(cache_field("resident_builds").as_long());
-  // The telemetry block is required like the cache block: spans the worker
-  // recorded for this cell (empty unless the request asked for tracing) plus
-  // its counter deltas.  Strictly shaped — a malformed block fails the cell
-  // loudly instead of silently dropping observability.
+  // Like `seconds`, the telemetry block is worker-side observability the
+  // result sinks exclude: spans the worker recorded for this cell (empty
+  // unless the request asked for tracing) plus its counter deltas, build
+  // cache hits/misses/evictions included.  Required and strictly shaped — a
+  // malformed block fails the cell loudly instead of silently dropping
+  // observability.
   const json::Value& telemetry = field("telemetry");
   FEDHISYN_CHECK_MSG(telemetry.kind == json::Value::Kind::kObject,
                      "worker response 'telemetry' is not an object");
@@ -193,7 +168,6 @@ Response parse_response(const std::string& line) {
     return *value;
   };
   CellTelemetry& tel = response.cell.telemetry;
-  tel.valid = true;
   tel.dropped = static_cast<std::uint64_t>(telemetry_field("dropped").as_long());
   const json::Value& spans = telemetry_field("spans");
   FEDHISYN_CHECK_MSG(spans.kind == json::Value::Kind::kArray,
@@ -247,38 +221,29 @@ Response parse_response(const std::string& line) {
 
 // ---------------------------------------------------------- worker side --
 
-/// FEDHISYN_TEST_CRASH="<label-substring>[:<attempt>]": abort before running
-/// any cell whose label contains the substring, while the request's attempt
-/// number is <= the bound (unbounded when omitted).  Lets tests inject a
-/// crash that heals on retry; inert unless the env var is set.
-void maybe_inject_crash(const std::string& label, int attempt) {
-  const char* value = std::getenv("FEDHISYN_TEST_CRASH");
-  if (value == nullptr || value[0] == '\0') return;
-  std::string token = value;
-  int below_attempt = INT_MAX;
-  const std::size_t colon = token.rfind(':');
-  if (colon != std::string::npos) {
-    char* end = nullptr;
-    const long bound = std::strtol(token.c_str() + colon + 1, &end, 10);
-    if (end != token.c_str() + colon + 1 && *end == '\0' && bound > 0) {
-      below_attempt = static_cast<int>(bound);
-      token = token.substr(0, colon);
-    }
-  }
-  if (label.find(token) != std::string::npos && attempt <= below_attempt) {
-    std::fprintf(stderr, "worker: FEDHISYN_TEST_CRASH hit for '%s' (attempt %d)\n",
-                 label.c_str(), attempt);
-    std::abort();
-  }
-}
+/// A fault-injection knob, `<label>[:<attempt>[:<seconds>]]`: it fires on
+/// cells whose label contains `label` while the request's attempt number is
+/// <= `max_attempt` (unbounded when omitted), so tests can inject a fault
+/// that heals on retry; `seconds` is the hang's sleep (a crash ignores it).
+/// Empty `label` = the knob is unset.
+struct FaultKnob {
+  std::string label;
+  long max_attempt = LONG_MAX;
+  double seconds = 600.0;
 
-/// FEDHISYN_TEST_HANG="<label-substring>[:<attempt>[:<seconds>]]": sleep
-/// `seconds` (default 600) before running a matching cell while the
-/// request's attempt number is <= the bound — a wedged-but-alive worker for
-/// the per-cell timeout tests.  Inert unless the env var is set.
-void maybe_inject_hang(const std::string& label, int attempt) {
-  const char* value = std::getenv("FEDHISYN_TEST_HANG");
-  if (value == nullptr || value[0] == '\0') return;
+  bool fires(const std::string& cell_label, int attempt) const {
+    return !label.empty() && cell_label.find(label) != std::string::npos &&
+           attempt <= max_attempt;
+  }
+};
+
+/// Parse the knob in env var `name`.  A malformed value check-fails naming
+/// the variable — inside a worker that reaches the coordinator as the cell's
+/// ok:false error, so a typo cannot silently inject nothing.
+FaultKnob fault_knob(const char* name) {
+  FaultKnob knob;
+  const char* value = std::getenv(name);
+  if (value == nullptr || value[0] == '\0') return knob;
   std::vector<std::string> parts(1);
   for (const char* c = value; *c != '\0'; ++c) {
     if (*c == ':') {
@@ -287,23 +252,44 @@ void maybe_inject_hang(const std::string& label, int attempt) {
       parts.back().push_back(*c);
     }
   }
-  int below_attempt = INT_MAX;
-  double sleep_s = 600.0;
+  FEDHISYN_CHECK_MSG(!parts[0].empty() && parts.size() <= 3,
+                     name << " takes <label>[:<attempt>[:<seconds>]], got '" << value
+                          << "'");
+  knob.label = parts[0];
   if (parts.size() >= 2) {
-    const long bound = std::strtol(parts[1].c_str(), nullptr, 10);
-    if (bound > 0) below_attempt = static_cast<int>(bound);
+    knob.max_attempt = parse_long(name, parts[1]);
+    FEDHISYN_CHECK_MSG(knob.max_attempt > 0,
+                       name << " attempt bound must be positive, got '" << value << "'");
   }
-  if (parts.size() >= 3) {
-    const double seconds = std::strtod(parts[2].c_str(), nullptr);
-    if (seconds > 0) sleep_s = seconds;
+  if (parts.size() == 3) {
+    knob.seconds = parse_double(name, parts[2]);
+    FEDHISYN_CHECK_MSG(knob.seconds > 0.0,
+                       name << " seconds must be positive, got '" << value << "'");
   }
-  if (label.find(parts[0]) == std::string::npos || attempt > below_attempt) return;
+  return knob;
+}
+
+/// FEDHISYN_TEST_CRASH: abort before running a matching cell.  Inert unless
+/// the env var is set.
+void maybe_inject_crash(const std::string& label, int attempt) {
+  if (!fault_knob("FEDHISYN_TEST_CRASH").fires(label, attempt)) return;
+  std::fprintf(stderr, "worker: FEDHISYN_TEST_CRASH hit for '%s' (attempt %d)\n",
+               label.c_str(), attempt);
+  std::abort();
+}
+
+/// FEDHISYN_TEST_HANG: sleep `seconds` (default 600) before running a
+/// matching cell — a wedged-but-alive worker for the per-cell timeout tests.
+/// Inert unless the env var is set.
+void maybe_inject_hang(const std::string& label, int attempt) {
+  const FaultKnob knob = fault_knob("FEDHISYN_TEST_HANG");
+  if (!knob.fires(label, attempt)) return;
   std::fprintf(stderr,
                "worker: FEDHISYN_TEST_HANG hit for '%s' (attempt %d): sleeping %gs\n",
-               label.c_str(), attempt, sleep_s);
+               label.c_str(), attempt, knob.seconds);
   timespec ts;
-  ts.tv_sec = static_cast<time_t>(sleep_s);
-  ts.tv_nsec = static_cast<long>((sleep_s - static_cast<double>(ts.tv_sec)) * 1e9);
+  ts.tv_sec = static_cast<time_t>(knob.seconds);
+  ts.tv_nsec = static_cast<long>((knob.seconds - static_cast<double>(ts.tv_sec)) * 1e9);
   while (::nanosleep(&ts, &ts) != 0 && errno == EINTR) {
   }
 }
@@ -330,31 +316,15 @@ std::string handle_request(const std::string& line, BuildCache* cache) {
     const std::map<std::string, std::uint64_t> counters_before =
         counters::snapshot();
     if (want_trace) trace::collect_begin();
-    bool hit = false;
-    const std::shared_ptr<const core::BuiltExperiment> built = cache->get(spec, &hit);
-    CellResult cell = run_cell(spec, *built);
-    cell.telemetry.valid = true;
+    CellResult cell = run_cell(spec, *cache->get(spec));
     if (want_trace) {
-      const std::vector<trace::CollectedSpan> spans =
-          trace::collect_end(kMaxWireSpans, &cell.telemetry.dropped);
-      cell.telemetry.spans.reserve(spans.size());
-      for (const trace::CollectedSpan& span : spans) {
-        cell.telemetry.spans.push_back(
-            {span.name, span.cat, span.tid, span.ts_us, span.dur_us});
-      }
+      cell.telemetry.spans = trace::collect_end(kMaxWireSpans, &cell.telemetry.dropped);
     }
     // Counter deltas ship whether or not tracing is on — counting is always
-    // live, and the coordinator folds them into its own registry.
+    // live (this cell's build_cache.* hit/miss/evictions included), and the
+    // coordinator folds them into its own registry.
     cell.telemetry.counters =
         counters::delta(counters_before, counters::snapshot());
-    const BuildCache::Stats stats = cache->stats();
-    cell.cache.valid = true;
-    cell.cache.hit = hit;
-    cell.cache.hits = stats.hits;
-    cell.cache.misses = stats.misses;
-    cell.cache.evictions = stats.evictions;
-    cell.cache.resident_bytes = stats.resident_bytes;
-    cell.cache.resident_builds = stats.resident_builds;
     return encode_ok_response(cell);
   } catch (const std::exception& e) {
     return encode_error_response(e.what());
@@ -603,14 +573,12 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
       // ...and the worker's own spans on its lane, rebased from cell-relative
       // to coordinator time at the moment the request was fed.  Skew is the
       // request's network/decode latency — good enough to eyeball overlap.
-      if (response.cell.telemetry.valid) {
-        const int lane = 1 + static_cast<int>(s);
-        trace::set_lane_name(
-            lane, "worker " + std::to_string(s) + " (" + slot.link->endpoint() + ")");
-        for (const CellTelemetrySpan& span : response.cell.telemetry.spans) {
-          trace::emit_foreign(lane, span.tid, span.name, span.cat,
-                              slot.feed_us + span.ts_us, span.dur_us);
-        }
+      const int lane = 1 + static_cast<int>(s);
+      trace::set_lane_name(
+          lane, "worker " + std::to_string(s) + " (" + slot.link->endpoint() + ")");
+      for (const CellTelemetrySpan& span : response.cell.telemetry.spans) {
+        trace::emit_foreign(lane, span.tid, span.name, span.cat,
+                            slot.feed_us + span.ts_us, span.dur_us);
       }
     }
     response.cell.spec = specs[i];
@@ -785,14 +753,18 @@ int serve_main(const std::string& bind_spec) {
     std::fprintf(stderr, "fedhisyn-serve: coordinator connected\n");
     serve_stream(conn, &cache);
     ::close(conn);
-    const BuildCache::Stats stats = cache.stats();
+    // A serve process owns exactly one cache, so the registry's build_cache.*
+    // counters are its lifetime totals.
     std::fprintf(stderr,
                  "fedhisyn-serve: coordinator disconnected (cache: %llu hit(s), "
                  "%llu miss(es), %llu eviction(s); %zu build(s) resident)\n",
-                 static_cast<unsigned long long>(stats.hits),
-                 static_cast<unsigned long long>(stats.misses),
-                 static_cast<unsigned long long>(stats.evictions),
-                 stats.resident_builds);
+                 static_cast<unsigned long long>(
+                     counters::counter("build_cache.hits").get()),
+                 static_cast<unsigned long long>(
+                     counters::counter("build_cache.misses").get()),
+                 static_cast<unsigned long long>(
+                     counters::counter("build_cache.evictions").get()),
+                 cache.stats().resident_builds);
   }
 }
 
@@ -802,12 +774,10 @@ int max_attempts_from_env() {
 }
 
 std::vector<net::HostPort> worker_endpoints(const std::string& list) {
-  const char* env = std::getenv("FEDHISYN_WORKERS");
-  const std::string csv = !list.empty() ? list : env != nullptr ? env : "";
-  FEDHISYN_CHECK_MSG(!csv.empty(),
+  FEDHISYN_CHECK_MSG(!list.empty(),
                      "--dispatch tcp needs worker endpoints: pass --workers "
-                     "host:port,... or set FEDHISYN_WORKERS");
-  return net::parse_host_list(csv, "127.0.0.1");
+                     "host:port,...");
+  return net::parse_host_list(list, "127.0.0.1");
 }
 
 Dispatcher::Dispatcher(Options options) : options_(std::move(options)) {}

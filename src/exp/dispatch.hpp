@@ -1,6 +1,5 @@
 // Process- and host-level grid dispatch: crash-isolated worker pools behind
-// GridScheduler's CellBackend seam (--dispatch=process|tcp /
-// FEDHISYN_DISPATCH).
+// GridScheduler's CellBackend seam (--dispatch=process|tcp).
 //
 // One Dispatcher, one worker link: every worker is a stream socket that
 // carries the same newline-JSON protocol.  Local workers (--dispatch
@@ -33,25 +32,28 @@
 //     method): rethrown in the parent without retry, like the thread
 //     backend.
 //
-// Wire protocol (one JSON object per line, floats exact via %.9g/%.17g):
-//   worker -> parent  {"hello":"fedhisyn-worker","proto":1}   (on connect)
-//   parent -> worker  {"attempt":A,"spec":{...}}
+// Wire protocol, revision 2 (one JSON object per line, floats exact via
+// %.9g/%.17g):
+//   worker -> parent  {"hello":"fedhisyn-worker","proto":2}   (on connect)
+//   parent -> worker  {"attempt":A,"trace":0|1,"spec":{...}}
 //   worker -> parent  {"ok":true,"seconds":S,
-//                      "cache":{"hit":true|false,"hits":H,"misses":M,
-//                               "evictions":E,"resident_bytes":RB,
-//                               "resident_builds":RN},
+//                      "telemetry":{"dropped":D,
+//                                   "spans":[[name,cat,tid,ts,dur],...],
+//                                   "counters":{"name":delta,...}},
 //                      "algorithm":"...","final":F,
 //                      "best":B,"comm":C|null,"rounds_to_target":R|null,
 //                      "history":[[round,acc,comm,d2d],...]}
 //   worker -> parent  {"ok":false,"error":"..."}
-// The hello line lets the coordinator reject a non-worker endpoint instead
-// of feeding specs into the void, and delays dispatch to a freshly
-// (re)connected worker until it is actually serving — a reconnect to a
-// wedged host parks until the host recovers instead of eating retries.
-// The `cache` block is the worker's BuildCache observability (this cell's
-// hit/miss plus the worker-lifetime counters, see exp/build_cache.hpp);
-// like `seconds` it lands in CellResult but never in the result sinks, so
-// output files stay byte-identical warm vs cold.
+// The hello line lets the coordinator reject a non-worker endpoint — or a
+// worker of another protocol revision — instead of feeding specs into the
+// void, and delays dispatch to a freshly (re)connected worker until it is
+// actually serving: a reconnect to a wedged host parks until the host
+// recovers instead of eating retries.  The `telemetry` block is the
+// worker's observability for the cell: spans when `trace` asked for them,
+// and the cell's counter-registry deltas always — the worker's build-cache
+// hits, misses and evictions travel there as build_cache.* deltas (see
+// exp/build_cache.hpp).  Like `seconds` it lands in CellResult but never in
+// the result sinks, so output files stay byte-identical warm vs cold.
 //
 // Build affinity: when several cells are pending, the coordinator prefers
 // handing a worker the earliest pending cell whose build_key() matches the
@@ -78,9 +80,8 @@ double cell_timeout_from_env();
 /// negative env value falls back to the default.
 int max_attempts_from_env();
 
-/// Remote worker endpoints: `list` ("host:port,..." — the --workers value),
-/// or FEDHISYN_WORKERS when `list` is empty, parsed by net::parse_host_list.
-/// Check-fails when neither names an endpoint.
+/// Remote worker endpoints: `list` ("host:port,..." — the --workers value)
+/// parsed by net::parse_host_list.  Check-fails when `list` is empty.
 std::vector<net::HostPort> worker_endpoints(const std::string& list);
 
 class Dispatcher {

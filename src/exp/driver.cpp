@@ -86,8 +86,7 @@ GridDriverOptions handle_grid_flags(const Flags& flags) {
         threads > 0 ? static_cast<std::size_t>(threads) : 1);
   }
   GridDriverOptions options;
-  const long jobs =
-      flags.get_long("grid-jobs", static_cast<long>(GridScheduler::jobs_from_env()));
+  const long jobs = flags.get_long("grid-jobs", 1);
   options.grid_jobs = jobs > 0 ? static_cast<std::size_t>(jobs) : 1;
   options.out = flags.get("out", "");
   if (flags.has("dispatch")) {
@@ -99,23 +98,14 @@ GridDriverOptions handle_grid_flags(const Flags& flags) {
                                          : CellBackend::kThread;
   }
   options.workers = flags.get("workers", "");
-  // kAuto is fine too: FEDHISYN_DISPATCH=tcp with --workers on the command
-  // line is a legitimate combination.
-  FEDHISYN_CHECK_MSG(options.workers.empty() ||
-                         options.dispatch == CellBackend::kTcp ||
-                         options.dispatch == CellBackend::kAuto,
+  FEDHISYN_CHECK_MSG(options.workers.empty() || options.dispatch == CellBackend::kTcp,
                      "--workers only makes sense with --dispatch tcp");
   options.resume = flags.get_bool("resume");
   options.quiet = flags.get_bool("quiet");
   // Tracing resolves after the worker branches on purpose: a --serve /
   // --worker-cell worker never sink-traces a whole run — it records per cell
-  // when a request's trace field asks, and FEDHISYN_TRACE is deliberately
-  // not exported to children (each worker's spans travel the wire instead).
+  // when a request's trace field asks (each worker's spans travel the wire).
   options.trace_out = flags.get("trace", "");
-  if (options.trace_out.empty()) {
-    const char* env = std::getenv("FEDHISYN_TRACE");
-    if (env != nullptr) options.trace_out = env;
-  }
   if (!options.trace_out.empty()) trace::set_enabled(true);
   options.metrics_out = flags.get("metrics-out", "");
   return options;

@@ -2,14 +2,12 @@
 // benches, examples, CLI).  Every driver built on the exp API accepts:
 //
 //   --threads N       worker-thread budget (FEDHISYN_THREADS env fallback)
-//   --grid-jobs N     concurrent grid cells (FEDHISYN_GRID_JOBS fallback; 1)
+//   --grid-jobs N     concurrent grid cells (default 1)
 //   --dispatch MODE   thread | process | tcp: run cells on in-process worker
 //                     threads (default), on a crash-isolated pool of worker
-//                     processes, or on remote --serve workers over TCP
-//                     (FEDHISYN_DISPATCH fallback); output is byte-identical
-//                     in all three modes
+//                     processes, or on remote --serve workers over TCP;
+//                     output is byte-identical in all three modes
 //   --workers H:P,... remote worker endpoints for --dispatch tcp
-//                     (FEDHISYN_WORKERS fallback)
 //   --out PATH        per-cell results, JSONL by default, CSV if *.csv
 //   --resume          scan an existing --out JSONL for finished cells (by
 //                     spec key) and run only the rest; resumed lines are
@@ -19,13 +17,12 @@
 //                     (via FEDHISYN_QUIET, which child workers inherit) the
 //                     dispatch workers' per-build cache log lines
 //   --trace FILE      write a Chrome-trace/Perfetto JSON timeline of the
-//                     sweep to FILE (FEDHISYN_TRACE fallback): executor
-//                     batches, round waves, GEMM calls, build-cache builds
-//                     and per-cell dispatch lifecycles, with dispatch
-//                     workers' spans merged onto per-worker lanes
-//                     (common/trace.hpp; docs/OBSERVABILITY.md).  Pure
-//                     observability — result bytes are identical with or
-//                     without it
+//                     sweep to FILE: executor batches, round waves, GEMM
+//                     calls, build-cache builds and per-cell dispatch
+//                     lifecycles, with dispatch workers' spans merged onto
+//                     per-worker lanes (common/trace.hpp;
+//                     docs/OBSERVABILITY.md).  Pure observability — result
+//                     bytes are identical with or without it
 //   --metrics-out FILE
 //                     dump the process counter registry (cache hit/miss,
 //                     retries, latency histograms; common/counters.hpp) as
@@ -77,16 +74,16 @@ struct GridDriverOptions {
   std::size_t grid_jobs = 1;
   /// Empty = no results file.
   std::string out;
-  /// Cell execution backend (--dispatch; kAuto resolves FEDHISYN_DISPATCH).
-  CellBackend dispatch = CellBackend::kAuto;
+  /// Cell execution backend (--dispatch).
+  CellBackend dispatch = CellBackend::kThread;
   /// Comma-separated remote worker endpoints for the tcp backend
-  /// (--workers; empty lets the scheduler resolve FEDHISYN_WORKERS).
+  /// (--workers).
   std::string workers;
   /// Skip cells whose spec key already sits in the --out JSONL.
   bool resume = false;
   /// Suppress the per-cell progress lines on stderr.
   bool quiet = false;
-  /// Chrome-trace JSON output path (--trace / FEDHISYN_TRACE); empty = off.
+  /// Chrome-trace JSON output path (--trace); empty = off.
   /// Non-empty enables trace recording for the whole run.
   std::string trace_out;
   /// Counter-registry JSON output path (--metrics-out); empty = off.

@@ -4,11 +4,6 @@
 #include <mutex>
 #include <thread>
 
-#include <cstdlib>
-#include <cstring>
-
-#include "common/check.hpp"
-#include "common/env.hpp"
 #include "common/parallel.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/trace.hpp"
@@ -17,24 +12,6 @@
 #include "exp/dispatch.hpp"
 
 namespace fedhisyn::exp {
-
-namespace {
-
-/// Copy a cache's counter snapshot (plus this cell's hit/miss) into the
-/// cell's observability block — the same shape the dispatch workers put on
-/// the wire, so thread- and process-backend cells report identically.
-void fill_cache_stats(CellResult& cell, const BuildCache& cache, bool hit) {
-  const BuildCache::Stats stats = cache.stats();
-  cell.cache.valid = true;
-  cell.cache.hit = hit;
-  cell.cache.hits = stats.hits;
-  cell.cache.misses = stats.misses;
-  cell.cache.evictions = stats.evictions;
-  cell.cache.resident_bytes = stats.resident_bytes;
-  cell.cache.resident_builds = stats.resident_builds;
-}
-
-}  // namespace
 
 std::shared_ptr<const core::BuiltExperiment> build_for(const ExperimentSpec& spec) {
   return core::build_experiment(spec.build);
@@ -69,25 +46,8 @@ CellResult run_cell(const ExperimentSpec& spec, const CellHooks& hooks) {
 
 GridScheduler::GridScheduler(Options options) : options_(std::move(options)) {}
 
-std::size_t GridScheduler::jobs_from_env() {
-  const long jobs = env_long("FEDHISYN_GRID_JOBS", 0);
-  return jobs > 0 ? static_cast<std::size_t>(jobs) : 1;
-}
-
-CellBackend GridScheduler::backend_from_env() {
-  const char* value = std::getenv("FEDHISYN_DISPATCH");
-  if (value == nullptr || value[0] == '\0' || std::strcmp(value, "thread") == 0) {
-    return CellBackend::kThread;
-  }
-  if (std::strcmp(value, "tcp") == 0) return CellBackend::kTcp;
-  FEDHISYN_CHECK_MSG(std::strcmp(value, "process") == 0,
-                     "FEDHISYN_DISPATCH takes thread|process|tcp, got '" << value
-                                                                         << "'");
-  return CellBackend::kProcess;
-}
-
 std::size_t GridScheduler::resolved_jobs(std::size_t cells) const {
-  std::size_t jobs = options_.jobs > 0 ? options_.jobs : jobs_from_env();
+  std::size_t jobs = options_.jobs;
   if (jobs > cells) jobs = cells;
   return jobs > 0 ? jobs : 1;
 }
@@ -104,10 +64,7 @@ std::vector<CellResult> GridScheduler::run(
   std::vector<CellResult> results(specs.size());
   if (specs.empty()) return results;
 
-  const CellBackend backend = options_.backend == CellBackend::kAuto
-                                  ? backend_from_env()
-                                  : options_.backend;
-  if (backend != CellBackend::kThread) {
+  if (options_.backend != CellBackend::kThread) {
     // Same two-level budget as the thread backend, but each job slot is a
     // crash-isolated worker: a self-exec'd child process, or one remote
     // --serve worker per endpoint for kTcp (whose thread budget is the
@@ -118,7 +75,7 @@ std::vector<CellResult> GridScheduler::run(
     dispatch.workers = jobs;
     dispatch.threads_per_worker = inner_threads(jobs);
     dispatch.worker_binary = options_.worker_binary;
-    if (backend == CellBackend::kTcp) {
+    if (options_.backend == CellBackend::kTcp) {
       dispatch.hosts = worker_endpoints(options_.worker_hosts);
     }
     dispatch.max_attempts = options_.max_attempts;
@@ -133,11 +90,7 @@ std::vector<CellResult> GridScheduler::run(
     std::size_t done FEDHISYN_GUARDED_BY(mutex) = 0;
   } progress;
   const auto run_one = [&](std::size_t i) {
-    bool hit = false;
-    std::shared_ptr<const core::BuiltExperiment> built =
-        options_.share_builds ? cache.get(specs[i], &hit) : build_for(specs[i]);
-    results[i] = run_cell(specs[i], *built);
-    if (options_.share_builds) fill_cache_stats(results[i], cache, hit);
+    results[i] = run_cell(specs[i], *cache.get(specs[i]));
     if (options_.on_cell) {
       MutexLock lock(progress.mutex);
       options_.on_cell(++progress.done, specs.size(), results[i]);

@@ -1,9 +1,9 @@
 // GridScheduler: runs a vector of ExperimentSpecs (grid cells) concurrently.
 //
-// Two-level thread budget: `jobs` cells run at once (--grid-jobs /
-// FEDHISYN_GRID_JOBS, default 1 = serial), each on its own worker thread
-// with a private ParallelExecutor of floor(total_threads / jobs) threads
-// bound as ParallelExecutor::current() — so a cell's inner parallel loops
+// Two-level thread budget: `jobs` cells run at once (--grid-jobs, default
+// 1 = serial), each on its own worker thread with a private
+// ParallelExecutor of floor(total_threads / jobs) threads bound as
+// ParallelExecutor::current() — so a cell's inner parallel loops
 // (training waves, GEMM, evaluation) fan out on the cell's pool and
 // concurrent cells never contend for the global pool's single job slot.
 // total_threads defaults to the global pool size (FEDHISYN_THREADS /
@@ -28,51 +28,28 @@
 #include <memory>
 #include <vector>
 
+#include "common/trace.hpp"
 #include "core/runner.hpp"
 #include "exp/spec.hpp"
 
 namespace fedhisyn::exp {
-
-/// Build-cache observability for one cell: whether its build was served
-/// warm, plus a counter snapshot of the cache that served it (cumulative
-/// over the serving worker's lifetime — for a resident --serve worker that
-/// spans connections and sweeps).  Travels on the dispatch wire protocol's
-/// `cache` block; like `seconds`, the JSONL/CSV sinks exclude it, so output
-/// files stay byte-identical warm vs cold and across backends.
-struct CellCacheStats {
-  /// False when no build cache reported for this cell (e.g. a resumed cell).
-  bool valid = false;
-  /// This cell's build was resident — no build ran for it.
-  bool hit = false;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::size_t resident_bytes = 0;
-  std::size_t resident_builds = 0;
-};
 
 /// One trace span a dispatch worker recorded while running a cell
 /// (common/trace.hpp collection mode), shipped back on the wire protocol's
 /// `telemetry` block.  Timestamps are microseconds relative to the cell's
 /// start on the worker; the coordinator rebases them onto its own timeline
 /// and files them under the worker's Perfetto lane (pid 1 + slot).
-struct CellTelemetrySpan {
-  std::string name;
-  std::string cat;
-  std::uint32_t tid = 0;
-  std::int64_t ts_us = 0;
-  std::int64_t dur_us = 0;
-};
+using CellTelemetrySpan = trace::CollectedSpan;
 
 /// Worker-side observability for one dispatched cell: the spans recorded
 /// while it ran (empty unless the coordinator requested tracing) plus the
-/// cell's counter-registry deltas (always reported — counting is free).
-/// Like `seconds` and the cache block, the JSONL/CSV sinks exclude it, so
-/// output files stay byte-identical traced vs untraced and across backends.
+/// cell's counter-registry deltas (always reported — counting is free; the
+/// worker's build_cache.hits/misses/evictions for this cell ride here).
+/// Like `seconds`, the JSONL/CSV sinks exclude it, so output files stay
+/// byte-identical traced vs untraced, warm vs cold and across backends.
+/// Thread-backend cells leave it empty: they record into the coordinator's
+/// own trace buffers and counter registry instead.
 struct CellTelemetry {
-  /// False when no worker reported telemetry for this cell (thread-backend
-  /// cells record into the coordinator's own buffers instead).
-  bool valid = false;
   std::vector<CellTelemetrySpan> spans;
   /// Spans lost to the worker's buffer cap or the wire cap.
   std::uint64_t dropped = 0;
@@ -80,15 +57,14 @@ struct CellTelemetry {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
 };
 
-/// Everything one finished cell produced.  Wall-clock seconds, the cache
-/// block and the telemetry block are reported for humans only — result
-/// sinks exclude them so output files stay byte-stable across thread
-/// counts, machines, cache states and tracing on/off.
+/// Everything one finished cell produced.  Wall-clock seconds and the
+/// telemetry block are reported for humans only — result sinks exclude them
+/// so output files stay byte-stable across thread counts, machines, cache
+/// states and tracing on/off.
 struct CellResult {
   ExperimentSpec spec;
   core::ExperimentResult result;
   double seconds = 0.0;
-  CellCacheStats cache;
   CellTelemetry telemetry;
 };
 
@@ -118,34 +94,27 @@ CellResult run_cell(const ExperimentSpec& spec, const CellHooks& hooks = {});
 ///             a worker that *hangs* is killed and retried too once
 ///             FEDHISYN_CELL_TIMEOUT_S arms the per-cell deadline;
 ///   kTcp      remote workers started with `--serve [bind:]port` on other
-///             machines (--workers host:port,... / FEDHISYN_WORKERS), same
-///             protocol and retry/timeout semantics as kProcess;
-///   kAuto     resolve FEDHISYN_DISPATCH ("thread"/"process"/"tcp"; default
-///             thread).
-enum class CellBackend { kAuto, kThread, kProcess, kTcp };
+///             machines (--workers host:port,...), same protocol and
+///             retry/timeout semantics as kProcess.
+enum class CellBackend { kThread, kProcess, kTcp };
 
 class GridScheduler {
  public:
   struct Options {
-    /// Concurrent cells; 0 resolves FEDHISYN_GRID_JOBS (default 1).  Clamped
-    /// to the number of cells.
-    std::size_t jobs = 0;
+    /// Concurrent cells (--grid-jobs); clamped to the number of cells.
+    std::size_t jobs = 1;
     /// Thread budget split across the running cells; 0 = the global pool's
     /// current size.
     std::size_t total_threads = 0;
-    /// Share BuiltExperiments between cells with equal build_key() through a
-    /// BuildCache (budget: FEDHISYN_BUILD_CACHE_MB).  False = every cell
-    /// builds privately, bypassing the cache entirely.
-    bool share_builds = true;
-    /// Cell execution backend (--dispatch / FEDHISYN_DISPATCH).
-    CellBackend backend = CellBackend::kAuto;
+    /// Cell execution backend (--dispatch).
+    CellBackend backend = CellBackend::kThread;
     /// Process/tcp backends: tries per cell before the sweep fails (0
     /// resolves 1 + FEDHISYN_WORKER_RETRIES).  Process backend: the binary
     /// to self-exec (empty = the running binary).
     int max_attempts = 0;
     std::string worker_binary;
     /// Tcp backend: remote worker endpoints ("host:port,host:port,...", the
-    /// --workers value); empty resolves FEDHISYN_WORKERS.
+    /// --workers value); check-fails when empty.
     std::string worker_hosts;
     /// Process/tcp backends: per-cell deadline in seconds; < 0 resolves
     /// FEDHISYN_CELL_TIMEOUT_S, 0 disables.
@@ -167,13 +136,6 @@ class GridScheduler {
   std::size_t resolved_jobs(std::size_t cells) const;
   /// Inner per-cell threads for the given outer job count.
   std::size_t inner_threads(std::size_t jobs) const;
-
-  /// FEDHISYN_GRID_JOBS when set to a positive integer, else 1.
-  static std::size_t jobs_from_env();
-
-  /// FEDHISYN_DISPATCH: kProcess for "process", kTcp for "tcp", kThread
-  /// otherwise (including unset); check-fails on an unrecognised value.
-  static CellBackend backend_from_env();
 
  private:
   Options options_;

@@ -22,27 +22,17 @@ std::string fmt_acc(float value) {
   return buf;
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string to_jsonl_line(const CellResult& cell) {
   const ExperimentSpec& spec = cell.spec;
   const core::ExperimentResult& result = cell.result;
   std::ostringstream out;
-  out << "{\"label\":\"" << json_escape(spec.label()) << "\""
-      << ",\"dataset\":\"" << json_escape(spec.build.dataset) << "\""
-      << ",\"partition\":\"" << json_escape(spec.partition_label()) << "\""
+  out << "{\"label\":\"" << json::escape(spec.label()) << "\""
+      << ",\"dataset\":\"" << json::escape(spec.build.dataset) << "\""
+      << ",\"partition\":\"" << json::escape(spec.partition_label()) << "\""
       << ",\"participation\":" << fmt_g(spec.opts.participation)
-      << ",\"method\":\"" << json_escape(spec.method) << "\""
+      << ",\"method\":\"" << json::escape(spec.method) << "\""
       << ",\"clusters\":" << spec.opts.clusters
       << ",\"devices\":" << spec.build.scale.devices
       << ",\"rounds\":" << spec.build.scale.rounds
@@ -63,8 +53,8 @@ std::string to_jsonl_line(const CellResult& cell) {
   } else {
     out << "null";
   }
-  out << ",\"cell\":\"" << json_escape(result.table_cell()) << "\""
-      << ",\"key\":\"" << json_escape(spec.to_key()) << "\"}";
+  out << ",\"cell\":\"" << json::escape(result.table_cell()) << "\""
+      << ",\"key\":\"" << json::escape(spec.to_key()) << "\"}";
   return out.str();
 }
 

@@ -1,10 +1,10 @@
 // Tests for the shared multi-build LRU BuildCache (exp/build_cache.hpp):
-// BuiltExperiment::memory_bytes() sizing, hit/miss counter semantics and
-// pointer sharing, LRU eviction under a byte budget, the disabled (budget 0)
+// BuiltExperiment::memory_bytes() sizing, build_cache.* counter semantics
+// and pointer sharing, LRU eviction under a byte budget, the disabled (budget 0)
 // mode, same-key build deduplication under concurrency, the
 // FEDHISYN_BUILD_CACHE_MB budget resolution, the coordinator's build-affinity
-// pass (observed end-to-end through the process backend's per-cell cache
-// stats), and a resident --serve worker staying warm across connections.
+// pass (observed end-to-end through the per-cell build_cache.* counter
+// deltas the workers ship back), and a resident --serve worker staying warm across connections.
 //
 // This binary links tests/worker_main.cpp like dispatch_test: invoked with
 // --worker-cell or --serve it becomes a dispatch worker (the process/tcp
@@ -12,17 +12,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/counters.hpp"
 #include "exp/build_cache.hpp"
 #include "exp/dispatch.hpp"
 #include "exp/grid.hpp"
 #include "exp/scheduler.hpp"
 #include "exp/sinks.hpp"
+#include "scoped_env.hpp"
 #include "serve_worker.hpp"
 
 namespace fedhisyn::exp {
@@ -44,31 +48,6 @@ ExperimentGrid tiny_grid() {
   return grid;
 }
 
-/// RAII env override (restores the previous value, or unsets).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
-
 /// One tiny spec per distinct build: same scale, different build seed (the
 /// seed is part of build_key()), so every build has the same byte footprint.
 ExperimentSpec tiny_spec(std::uint64_t seed, const std::string& method = "FedAvg") {
@@ -78,6 +57,28 @@ ExperimentSpec tiny_spec(std::uint64_t seed, const std::string& method = "FedAvg
   const auto specs = grid.expand();
   FEDHISYN_CHECK_MSG(specs.size() == 1, "tiny_spec expansion is not a single cell");
   return specs[0];
+}
+
+/// `name`'s value in a counter-delta list (0 when it did not move).
+std::uint64_t delta_of(const std::vector<std::pair<std::string, std::uint64_t>>& deltas,
+                       const std::string& name) {
+  for (const auto& [counter, delta] : deltas) {
+    if (counter == name) return delta;
+  }
+  return 0;
+}
+
+/// `name` summed over the per-cell counter deltas of a dispatched sweep.
+std::uint64_t total(const std::vector<CellResult>& cells, const std::string& name) {
+  std::uint64_t sum = 0;
+  for (const CellResult& cell : cells) sum += delta_of(cell.telemetry.counters, name);
+  return sum;
+}
+
+/// How far the process-wide counter `name` grew since `before`.
+std::uint64_t grew_since(const std::map<std::string, std::uint64_t>& before,
+                         const std::string& name) {
+  return delta_of(counters::delta(before, counters::snapshot()), name);
 }
 
 // ---------------------------------------------------------- memory_bytes --
@@ -105,6 +106,7 @@ TEST(MemoryBytes, GrowsWithTheTrainingSet) {
 
 TEST(BuildCache, MissThenHitSharesOnePointer) {
   BuildCache cache(BuildCache::Config{BuildCache::default_budget_bytes(), {}});
+  const auto before = counters::snapshot();
   bool hit = true;
   const auto first = cache.get(tiny_spec(11), &hit);
   EXPECT_FALSE(hit);
@@ -112,10 +114,10 @@ TEST(BuildCache, MissThenHitSharesOnePointer) {
   EXPECT_TRUE(hit);
   EXPECT_EQ(first.get(), second.get());
 
+  EXPECT_EQ(grew_since(before, "build_cache.hits"), 1u);
+  EXPECT_EQ(grew_since(before, "build_cache.misses"), 1u);
+  EXPECT_EQ(grew_since(before, "build_cache.evictions"), 0u);
   const BuildCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.evictions, 0u);
   EXPECT_EQ(stats.resident_builds, 1u);
   EXPECT_EQ(stats.resident_bytes, first->memory_bytes());
 }
@@ -139,12 +141,13 @@ TEST(BuildCache, EvictsLeastRecentlyUsedPastTheByteBudget) {
   // budget of 2.5 builds holds exactly two.
   const std::size_t one = build_for(tiny_spec(1))->memory_bytes();
   BuildCache cache(BuildCache::Config{one * 5 / 2, {}});
+  const auto before = counters::snapshot();
 
   const auto s1 = cache.get(tiny_spec(1));  // resident: {1}
   cache.get(tiny_spec(2));                  // resident: {1, 2}
   cache.get(tiny_spec(1));                  // refresh 1's recency
   cache.get(tiny_spec(3));                  // over budget -> evict 2 (LRU)
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(grew_since(before, "build_cache.evictions"), 1u);
   EXPECT_EQ(cache.stats().resident_builds, 2u);
 
   bool hit = true;
@@ -153,10 +156,10 @@ TEST(BuildCache, EvictsLeastRecentlyUsedPastTheByteBudget) {
   cache.get(tiny_spec(3), &hit);  // 3 survived both evictions
   EXPECT_TRUE(hit);
 
+  EXPECT_EQ(grew_since(before, "build_cache.misses"), 4u);  // 1, 2, 3, then 2 again
+  EXPECT_EQ(grew_since(before, "build_cache.hits"), 2u);  // the refresh of 1, the final 3
+  EXPECT_EQ(grew_since(before, "build_cache.evictions"), 2u);
   const BuildCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 4u);  // 1, 2, 3, then 2 again
-  EXPECT_EQ(stats.hits, 2u);    // the refresh of 1, the final 3
-  EXPECT_EQ(stats.evictions, 2u);
   EXPECT_EQ(stats.resident_builds, 2u);
   EXPECT_LE(stats.resident_bytes, cache.max_bytes());
   // Eviction only drops the cache's reference: the evicted build stays
@@ -168,13 +171,14 @@ TEST(BuildCache, EvictsLeastRecentlyUsedPastTheByteBudget) {
 
 TEST(BuildCache, ZeroBudgetDisablesCachingButBuildsIdentically) {
   BuildCache disabled(BuildCache::Config{0, {}});
+  const auto before = counters::snapshot();
   bool hit = true;
   const auto first = disabled.get(tiny_spec(11), &hit);
   EXPECT_FALSE(hit);
   const auto second = disabled.get(tiny_spec(11), &hit);
   EXPECT_FALSE(hit);
   EXPECT_NE(first.get(), second.get());  // nothing was retained
-  EXPECT_EQ(disabled.stats().misses, 2u);
+  EXPECT_EQ(grew_since(before, "build_cache.misses"), 2u);
   EXPECT_EQ(disabled.stats().resident_builds, 0u);
   EXPECT_EQ(disabled.stats().resident_bytes, 0u);
 
@@ -191,6 +195,7 @@ TEST(BuildCache, ZeroBudgetDisablesCachingButBuildsIdentically) {
 
 TEST(BuildCache, ConcurrentSameKeyCallersShareOneBuild) {
   BuildCache cache(BuildCache::Config{BuildCache::default_budget_bytes(), {}});
+  const auto before = counters::snapshot();
   constexpr int kThreads = 4;
   std::vector<std::shared_ptr<const core::BuiltExperiment>> builds(kThreads);
   std::vector<std::thread> threads;
@@ -200,11 +205,11 @@ TEST(BuildCache, ConcurrentSameKeyCallersShareOneBuild) {
   }
   for (auto& thread : threads) thread.join();
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(builds[0].get(), builds[t].get());
-  const BuildCache::Stats stats = cache.stats();
   // Exactly one build ran; a caller that waited on it counts as a hit.
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kThreads - 1));
-  EXPECT_EQ(stats.resident_builds, 1u);
+  EXPECT_EQ(grew_since(before, "build_cache.misses"), 1u);
+  EXPECT_EQ(grew_since(before, "build_cache.hits"),
+            static_cast<std::uint64_t>(kThreads - 1));
+  EXPECT_EQ(cache.stats().resident_builds, 1u);
 }
 
 // ------------------------------------------------------------ env budget --
@@ -271,21 +276,25 @@ TEST(DispatchCache, AffinityDrainsInterleavedBuildsWithoutThrashing) {
     EXPECT_EQ(to_jsonl_line(serial[i]), to_jsonl_line(process[i])) << i;
   }
 
-  // Per-cell hit flags: the first cell of each build missed, its affinity
-  // partner hit.  (Assignment order was A0, A1, B0, B1; results are indexed
-  // by spec, so the hits land on indices 2 and 3.)
-  for (const auto& cell : process) ASSERT_TRUE(cell.cache.valid);
-  EXPECT_FALSE(process[0].cache.hit);  // A0: cold
-  EXPECT_FALSE(process[1].cache.hit);  // B0: cold (after A was evicted)
-  EXPECT_TRUE(process[2].cache.hit);   // A1: affinity kept A resident
-  EXPECT_TRUE(process[3].cache.hit);   // B1: affinity kept B resident
+  // Per-cell build_cache.* deltas: the first cell of each build missed, its
+  // affinity partner hit.  (Assignment order was A0, A1, B0, B1; results are
+  // indexed by spec, so the hits land on indices 2 and 3.)
+  const auto count = [&](std::size_t i, const char* name) {
+    return delta_of(process[i].telemetry.counters, name);
+  };
+  EXPECT_EQ(count(0, "build_cache.misses"), 1u);  // A0: cold
+  EXPECT_EQ(count(1, "build_cache.misses"), 1u);  // B0: cold (after A was evicted)
+  EXPECT_EQ(count(2, "build_cache.hits"), 1u);    // A1: affinity kept A resident
+  EXPECT_EQ(count(3, "build_cache.hits"), 1u);    // B1: affinity kept B resident
 
-  // Worker-lifetime counters on the last-finished cell (B1): 2 builds total,
-  // not 4, and exactly one eviction (A, when B displaced it).
-  EXPECT_EQ(process[3].cache.misses, 2u);
-  EXPECT_EQ(process[3].cache.hits, 2u);
-  EXPECT_EQ(process[3].cache.evictions, 1u);
-  EXPECT_EQ(process[3].cache.resident_builds, 1u);
+  // Worker-lifetime totals, summed over cells: 2 builds, not 4, and exactly
+  // one eviction (A, when B displaced it) — so one build stays resident.
+  const std::uint64_t misses = total(process, "build_cache.misses");
+  const std::uint64_t evictions = total(process, "build_cache.evictions");
+  EXPECT_EQ(misses, 2u);
+  EXPECT_EQ(total(process, "build_cache.hits"), 2u);
+  EXPECT_EQ(evictions, 1u);
+  EXPECT_EQ(misses - evictions, 1u);
 }
 
 TEST(DispatchCache, ResidentServeWorkerStaysWarmAcrossConnections) {
@@ -300,21 +309,25 @@ TEST(DispatchCache, ResidentServeWorkerStaysWarmAcrossConnections) {
   Dispatcher::Options options;
   options.hosts = {worker.host()};
 
+  const auto count = [](const CellResult& cell, const char* name) {
+    return delta_of(cell.telemetry.counters, name);
+  };
   const auto first = Dispatcher(options).run(specs);
   ASSERT_EQ(first.size(), 2u);
-  ASSERT_TRUE(first[0].cache.valid);
-  EXPECT_FALSE(first[0].cache.hit);  // the sweep's one build
-  EXPECT_TRUE(first[1].cache.hit);   // same build key, second method
-  EXPECT_EQ(first[1].cache.misses, 1u);
+  EXPECT_EQ(count(first[0], "build_cache.misses"), 1u);  // the sweep's one build
+  EXPECT_EQ(count(first[1], "build_cache.hits"), 1u);  // same build key, second method
 
   const auto second = Dispatcher(options).run(specs);
   ASSERT_EQ(second.size(), 2u);
-  EXPECT_TRUE(second[0].cache.hit);  // warm from the previous connection
-  EXPECT_TRUE(second[1].cache.hit);
-  // Counters are worker-lifetime: still the single build, three hits now.
-  EXPECT_EQ(second[1].cache.misses, 1u);
-  EXPECT_EQ(second[1].cache.hits, 3u);
-  EXPECT_EQ(second[1].cache.evictions, 0u);
+  EXPECT_EQ(count(second[0], "build_cache.hits"), 1u);  // warm from the previous connection
+  EXPECT_EQ(count(second[1], "build_cache.hits"), 1u);
+  // Summed over both sweeps: still the single build, three hits.
+  const auto both = [&](const char* name) {
+    return total(first, name) + total(second, name);
+  };
+  EXPECT_EQ(both("build_cache.misses"), 1u);
+  EXPECT_EQ(both("build_cache.hits"), 3u);
+  EXPECT_EQ(both("build_cache.evictions"), 0u);
 
   // The two sweeps' output bytes are identical — warmth is invisible there.
   for (std::size_t i = 0; i < specs.size(); ++i) {

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -35,6 +36,7 @@
 #include "exp/grid.hpp"
 #include "exp/scheduler.hpp"
 #include "exp/sinks.hpp"
+#include "scoped_env.hpp"
 #include "serve_worker.hpp"
 
 namespace fedhisyn::exp {
@@ -56,30 +58,14 @@ ExperimentGrid tiny_grid() {
   return grid;
 }
 
-/// RAII env override (restores the previous value, or unsets).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    ::setenv(name, value, 1);
+/// `name`'s per-cell counter delta in the cell's telemetry block (0 when the
+/// counter did not move in that cell).
+std::uint64_t cell_counter(const CellResult& cell, const std::string& name) {
+  for (const auto& [counter, delta] : cell.telemetry.counters) {
+    if (counter == name) return delta;
   }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
+  return 0;
+}
 
 /// True when this process has no child left, reaped or not: every worker
 /// the dispatcher spawned was also waited for.
@@ -250,15 +236,17 @@ TEST(Dispatch, DisabledBuildCacheIsByteIdenticalToTheDefault) {
     EXPECT_EQ(to_jsonl_line(cold[i]), to_jsonl_line(warm[i])) << i;
     EXPECT_EQ(to_csv_row(cold[i]), to_csv_row(warm[i])) << i;
   }
-  // The cache stats confirm the two runs really exercised different paths:
-  // all cold misses vs affinity-served hits.
+  // The worker's per-cell build_cache.* deltas confirm the two runs really
+  // exercised different paths: all cold misses vs affinity-served hits.
+  std::uint64_t cold_misses = 0;
   for (const auto& cell : cold) {
-    ASSERT_TRUE(cell.cache.valid);
-    EXPECT_FALSE(cell.cache.hit);
+    EXPECT_EQ(cell_counter(cell, "build_cache.hits"), 0u);
+    EXPECT_EQ(cell_counter(cell, "build_cache.misses"), 1u);
+    cold_misses += cell_counter(cell, "build_cache.misses");
   }
-  EXPECT_EQ(cold[3].cache.misses, 4u);
-  EXPECT_TRUE(warm[2].cache.hit);
-  EXPECT_TRUE(warm[3].cache.hit);
+  EXPECT_EQ(cold_misses, 4u);
+  EXPECT_EQ(cell_counter(warm[2], "build_cache.hits"), 1u);
+  EXPECT_EQ(cell_counter(warm[3], "build_cache.hits"), 1u);
 }
 
 TEST(Dispatch, CrashedWorkerIsRetriedAndTheSweepSurvives) {
@@ -299,6 +287,46 @@ TEST(Dispatch, UnhealableCrashExhaustsRetriesAndThrows) {
     EXPECT_NE(std::string(e.what()).find("FedAvg"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("giving up"), std::string::npos);
   }
+}
+
+TEST(Dispatch, MalformedFaultKnobFailsTheSweepNamingTheVariable) {
+  // A bad attempt bound must not read as a label that matches nothing (which
+  // would silently inject no crash): the worker check-fails, and the error
+  // reaches the coordinator as the cell's ok:false reply.
+  auto grid = tiny_grid();
+  grid.methods({"FedAvg"});
+  ScopedEnv crash("FEDHISYN_TEST_CRASH", "FedAvg:abc");
+  GridScheduler::Options options;
+  options.backend = CellBackend::kProcess;
+  try {
+    GridScheduler(options).run(grid.expand());
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("FEDHISYN_TEST_CRASH"), std::string::npos);
+  }
+}
+
+TEST(Dispatch, WorkerOfAnotherProtocolRevisionIsRefusedAtTheHello) {
+  // A worker binary that greets with revision 1 and then waits for specs:
+  // the coordinator must refuse it before sending any work.
+  const std::string script = "dispatch_test_proto1_worker.sh";
+  write_file(script, {"#!/bin/sh",
+                      "echo '{\"hello\":\"fedhisyn-worker\",\"proto\":1}'",
+                      "exec cat >/dev/null"});
+  ASSERT_EQ(::chmod(script.c_str(), 0755), 0);
+  auto grid = tiny_grid();
+  grid.methods({"FedAvg"});
+  Dispatcher::Options options;
+  options.worker_binary = "./" + script;
+  try {
+    Dispatcher(options).run(grid.expand());
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("protocol revision 1"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(no_children_left());
+  std::remove(script.c_str());
 }
 
 TEST(Dispatch, DeterministicCellFailurePropagatesWithoutRetry) {
@@ -486,29 +514,21 @@ TEST(TcpDispatch, DeadHostAtStartupIsRetiredAndTheSweepCompletes) {
 TEST(TcpDispatch, NoWorkersConfiguredCheckFails) {
   auto grid = tiny_grid();
   grid.methods({"FedAvg"});
-  GridScheduler::Options options;  // no worker_hosts, no FEDHISYN_WORKERS
+  GridScheduler::Options options;  // no worker_hosts
   options.backend = CellBackend::kTcp;
   EXPECT_THROW(GridScheduler(options).run(grid.expand()), CheckError);
 }
 
-TEST(TcpDispatch, HostsResolveFromEnvWhenOptionsAreEmpty) {
-  {
-    // Spaces after commas are stripped by net::parse_host_list — " hostB"
-    // would otherwise fail resolution at sweep startup.
-    ScopedEnv workers("FEDHISYN_WORKERS", "hostA:7800, hostB:7801");
-    const auto hosts = worker_endpoints("");
-    ASSERT_EQ(hosts.size(), 2u);
-    EXPECT_EQ(hosts[0].host, "hostA");
-    EXPECT_EQ(hosts[0].port, 7800);
-    EXPECT_EQ(hosts[1].host, "hostB");
-    EXPECT_EQ(hosts[1].port, 7801);
-    // An explicit --workers list (same parser) wins over the env var.
-    const auto flag = worker_endpoints("hostC:1, hostD:2");
-    ASSERT_EQ(flag.size(), 2u);
-    EXPECT_EQ(flag[1].host, "hostD");
-    EXPECT_EQ(flag[1].port, 2);
-  }
-  // Neither set: no endpoint to dispatch to.
+TEST(TcpDispatch, HostsResolveFromTheWorkersList) {
+  // Spaces after commas are stripped by net::parse_host_list — " hostB"
+  // would otherwise fail resolution at sweep startup.
+  const auto hosts = worker_endpoints("hostA:7800, hostB:7801");
+  ASSERT_EQ(hosts.size(), 2u);
+  EXPECT_EQ(hosts[0].host, "hostA");
+  EXPECT_EQ(hosts[0].port, 7800);
+  EXPECT_EQ(hosts[1].host, "hostB");
+  EXPECT_EQ(hosts[1].port, 7801);
+  // An empty --workers list: no endpoint to dispatch to.
   EXPECT_THROW(worker_endpoints(""), CheckError);
 }
 
@@ -655,6 +675,19 @@ TEST(Sinks, TerminatePartialLineClosesAnInterruptedAppend) {
   terminate_partial_line("no_such_file.jsonl");
   EXPECT_NE(::access("no_such_file.jsonl", F_OK), 0);
   std::remove(path.c_str());
+}
+
+TEST(Sinks, JsonlLineEscapesControlCharactersAndRoundTrips) {
+  // A newline in a label must not split the line-oriented results file.
+  CellResult cell;
+  cell.spec = tiny_grid().expand().at(0);
+  cell.spec.method = "a\"b\nc";
+  const std::string line = to_jsonl_line(cell);
+  EXPECT_EQ(line.find('\n'), std::string::npos);
+  const json::Value doc = json::parse(line);
+  EXPECT_EQ(doc.find("method")->as_string(), "a\"b\nc");
+  EXPECT_EQ(doc.find("label")->as_string(), cell.spec.label());
+  EXPECT_EQ(doc.find("key")->as_string(), cell.spec.to_key());
 }
 
 TEST(Sinks, AppendedLinesAccumulate) {

@@ -14,6 +14,7 @@
 #include "exp/grid.hpp"
 #include "exp/scheduler.hpp"
 #include "exp/sinks.hpp"
+#include "scoped_env.hpp"
 
 namespace fedhisyn::exp {
 namespace {
@@ -269,12 +270,13 @@ TEST(Scheduler, SharedBuildsMatchPrivateBuilds) {
   auto grid = tiny_grid();
   grid.methods({"FedAvg", "FedHiSyn"});
   const auto specs = grid.expand();
-  GridScheduler::Options shared;
-  shared.share_builds = true;
-  GridScheduler::Options private_builds;
-  private_builds.share_builds = false;
-  const auto a = GridScheduler(shared).run(specs);
-  const auto b = GridScheduler(private_builds).run(specs);
+  const auto a = GridScheduler().run(specs);
+  std::vector<CellResult> b;
+  {
+    // A zero budget disables the build cache: every cell builds privately.
+    ScopedEnv disable("FEDHISYN_BUILD_CACHE_MB", "0");
+    b = GridScheduler().run(specs);
+  }
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(to_jsonl_line(a[i]), to_jsonl_line(b[i])) << i;

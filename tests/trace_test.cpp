@@ -117,8 +117,7 @@ TEST(Trace, SpansNestAcrossPoolThreads) {
 TEST(Trace, CollectEndCapsSpansRebasesTimestampsAndSkipsNonSpans) {
   ScopedTrace on;
   trace::collect_begin();
-  trace::instant("mark", "test");      // not an 'X' event: never shipped
-  trace::counter_sample("gauge", 42);  // likewise
+  trace::instant("mark", "test");  // not an 'X' event: never shipped
   for (int i = 0; i < 10; ++i) {
     trace::TraceSpan span("capped", "test");
   }
@@ -143,7 +142,6 @@ TEST(Trace, WrittenChromeTraceIsWellFormedAndCarriesEveryEventKind) {
     span.sarg("kind", "unit");
   }
   trace::instant("sink_mark", "test");
-  trace::counter_sample("sink_gauge", 42);
   trace::set_lane_name(9, "imaginary worker");
   trace::emit_foreign(9, 3, "remote_span", "remote", 10, 5);
   trace::write_chrome_trace(path);
@@ -153,7 +151,7 @@ TEST(Trace, WrittenChromeTraceIsWellFormedAndCarriesEveryEventKind) {
   ASSERT_NE(events, nullptr);
   ASSERT_EQ(events->kind, json::Value::Kind::kArray);
 
-  bool saw_span = false, saw_instant = false, saw_counter = false;
+  bool saw_span = false, saw_instant = false;
   bool saw_lane = false, saw_foreign = false;
   for (const json::Value& event : events->items) {
     const std::string& name = event.find("name")->as_string();
@@ -171,10 +169,6 @@ TEST(Trace, WrittenChromeTraceIsWellFormedAndCarriesEveryEventKind) {
       saw_instant = true;
       EXPECT_EQ(event.find("s")->as_string(), "t");  // thread-scoped instant
     }
-    if (name == "sink_gauge" && ph == "C") {
-      saw_counter = true;
-      EXPECT_EQ(event.find("args")->find("value")->as_long(), 42);
-    }
     if (name == "process_name" && ph == "M" && event.find("pid")->as_long() == 9) {
       saw_lane = true;
       EXPECT_EQ(event.find("args")->find("name")->as_string(),
@@ -190,7 +184,6 @@ TEST(Trace, WrittenChromeTraceIsWellFormedAndCarriesEveryEventKind) {
   }
   EXPECT_TRUE(saw_span);
   EXPECT_TRUE(saw_instant);
-  EXPECT_TRUE(saw_counter);
   EXPECT_TRUE(saw_lane);
   EXPECT_TRUE(saw_foreign);
   std::remove(path.c_str());
@@ -249,6 +242,12 @@ TEST(Counters, HistogramQuantilesNeverExceedTheMax) {
 TEST(Counters, WriteMetricsEmitsAParsableSortedDocument) {
   const std::string path = "trace_test_metrics.json";
   counters::counter("trace_test.metric").add(1);
+  // Worker counter names arrive off the wire: a quote must be escaped, and a
+  // long name must not be truncated.
+  const std::string quoted = "trace_test.a\"quote";
+  const std::string long_name(200, 'n');
+  counters::counter(quoted).add(2);
+  counters::counter(long_name).add(3);
   counters::histogram("trace_test.histo_us").record(12);
   counters::write_metrics(path);
   const json::Value doc = json::parse(slurp(path));
@@ -256,6 +255,10 @@ TEST(Counters, WriteMetricsEmitsAParsableSortedDocument) {
   const json::Value* all = doc.find("counters");
   ASSERT_NE(all, nullptr);
   EXPECT_GE(all->find("trace_test.metric")->as_long(), 1);
+  ASSERT_NE(all->find(quoted), nullptr);
+  EXPECT_EQ(all->find(quoted)->as_long(), 2);
+  ASSERT_NE(all->find(long_name), nullptr);
+  EXPECT_EQ(all->find(long_name)->as_long(), 3);
   // Sorted by name: deterministic files for identical work.
   for (std::size_t i = 1; i < all->members.size(); ++i) {
     EXPECT_LT(all->members[i - 1].first, all->members[i].first);
@@ -308,11 +311,10 @@ TEST(TcpTrace, TwoWorkerSweepMergesLanesAndCountersAndKeepsBytesIdentical) {
     EXPECT_EQ(to_csv_row(serial[i]), to_csv_row(tcp[i])) << i;
   }
 
-  // Every cell shipped a telemetry block, and traced cells shipped spans.
+  // Every cell shipped its counter deltas, and traced cells shipped spans.
   for (const auto& cell : tcp) {
-    ASSERT_TRUE(cell.telemetry.valid);
+    ASSERT_FALSE(cell.telemetry.counters.empty());
     EXPECT_FALSE(cell.telemetry.spans.empty());
-    EXPECT_FALSE(cell.telemetry.counters.empty());
   }
 
   // The coordinator folded the workers' counter deltas into its own

@@ -27,7 +27,7 @@
 //   --target X            rounds-to-target accuracy             [suite default]
 //   --eval-every N                                              [1]
 //   --out PATH            result as one JSONL line (or CSV with *.csv)
-//   --trace PATH          Chrome-trace timeline of the run (FEDHISYN_TRACE)
+//   --trace PATH          Chrome-trace timeline of the run
 //   --metrics-out PATH    counter/histogram registry dump (see exp/driver.hpp)
 //   --history-csv PATH    write the per-round history as CSV
 //   --save-model PATH     save the final global weights (.fhsw)
