@@ -55,9 +55,12 @@ struct GemmShape {
 // the CNN im2col family (forward, filter-gradient, column-gradient) at a
 // paper-scale conv layer (128 -> 64 channels, 3x3 kernel, 32x32 output:
 // k = 128*3*3, n = 32*32).  cnn_im2col is the acceptance shape (k >= 256,
-// n >= 256).  Shape names are the keys of bench/baselines/BENCH_gemm.json —
-// renaming or removing one requires a baseline refresh (see README
-// "Performance").
+// n >= 256).  The census_* rows are Dense's forward, input-gradient and
+// weight-gradient calls as Table 1 runs them (mnist at batch 40, cifar100's
+// 192x50x64 weight gradient): small shapes the per-row reference used to
+// serve inside the library.  Shape names are the keys of
+// bench/baselines/BENCH_gemm.json — renaming or removing one requires a
+// baseline refresh (see README "Performance").
 constexpr GemmShape kShapes[] = {
     {"mlp_fwd", Variant::kNN, 50, 64, 200},
     {"mlp_fwd_big", Variant::kNN, 256, 64, 200},
@@ -66,6 +69,10 @@ constexpr GemmShape kShapes[] = {
     {"cnn_im2col", Variant::kNN, 64, 1152, 1024},
     {"cnn_dfilters", Variant::kNT, 64, 1024, 1152},
     {"cnn_dcols", Variant::kTN, 1152, 64, 1024},
+    {"census_mnist_fwd", Variant::kNN, 40, 32, 16},
+    {"census_mnist_dx", Variant::kNT, 40, 10, 16},
+    {"census_mnist_dw", Variant::kTN, 16, 40, 10},
+    {"census_c100_dw", Variant::kTN, 192, 50, 64},
 };
 
 // The pre-blocking per-row kernels, kept verbatim as the measurement

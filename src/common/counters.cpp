@@ -62,18 +62,35 @@ std::uint64_t Histogram::min() const {
 std::uint64_t Histogram::quantile(double q) const {
   const std::uint64_t total = count();
   if (total == 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
+  q = std::clamp(q, 0.0, 1.0);
   // Rank of the quantile sample (1-based), then walk buckets to it.
   const std::uint64_t rank =
       static_cast<std::uint64_t>(q * static_cast<double>(total - 1)) + 1;
   std::uint64_t seen = 0;
   for (std::size_t b = 0; b < kBuckets; ++b) {
-    seen += bucket(b);
-    if (seen >= rank) {
-      const std::uint64_t upper = b == 0 ? 0 : (std::uint64_t{1} << b) - 1;
-      return std::min(upper, max());
+    const std::uint64_t in_bucket = bucket(b);
+    if (seen + in_bucket < rank) {
+      seen += in_bucket;
+      continue;
     }
+    // The bucket's samples are taken as evenly spread over its range,
+    // narrowed by the exact min and max: lo is exact when the bucket holds
+    // the min, hi when it holds the max.
+    const std::uint64_t lower = b == 0 ? 0 : std::uint64_t{1} << (b - 1);
+    const std::uint64_t upper = b == 0               ? 0
+                                : b + 1 == kBuckets ? ~std::uint64_t{0}
+                                                    : (std::uint64_t{1} << b) - 1;
+    const std::uint64_t lo = std::max(lower, min());
+    const std::uint64_t hi = std::max(lo, std::min(upper, max()));
+    if (in_bucket == 1) {
+      // A lone sample is the max if the max falls in this bucket, else lo
+      // (exact when it is the min).
+      return max() <= upper ? hi : lo;
+    }
+    const double at = static_cast<double>(rank - seen - 1) /
+                      static_cast<double>(in_bucket - 1);
+    const auto offset = static_cast<std::uint64_t>(static_cast<double>(hi - lo) * at);
+    return std::min(hi, lo + offset);
   }
   return max();
 }

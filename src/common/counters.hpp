@@ -44,10 +44,12 @@ class Counter {
 
 /// A histogram over unsigned 64-bit samples (the repo records microseconds)
 /// with power-of-two buckets: bucket b counts samples in [2^(b-1), 2^b)
-/// (bucket 0 counts zero).  Quantiles are resolved to a bucket's upper
-/// bound clamped to max(), so p50/p95 are upper estimates within a 2x
-/// factor that never exceed the largest sample — plenty for a progress
-/// ticker; exact min/max/mean come from the dedicated fields.
+/// (bucket 0 counts zero).  A quantile finds the bucket holding its rank and
+/// interpolates by rank within it, between max(bucket lower bound, min())
+/// and min(bucket upper bound, max()): estimates stay inside the bucket
+/// (within 2x of the true sample), never leave [min(), max()], and separate
+/// p50 from p95 even when every sample shares one bucket.  Exact
+/// min/max/mean come from the dedicated fields.
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 64;
@@ -57,8 +59,8 @@ class Histogram {
   std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   std::uint64_t min() const;
   std::uint64_t max() const { return max_.load(std::memory_order_relaxed); }
-  /// Upper bound of the bucket holding the q-quantile (q in [0,1]),
-  /// clamped to max(); 0 when empty.
+  /// The q-quantile (q in [0,1]), interpolated within its bucket as
+  /// described above; 0 when empty.
   std::uint64_t quantile(double q) const;
   std::uint64_t bucket(std::size_t b) const {
     return buckets_[b].load(std::memory_order_relaxed);

@@ -1,6 +1,6 @@
 // Blocked, packed GEMM driver (BLIS/GotoBLAS-style, sized for this
-// simulator).  One driver serves all three operand layouts and every
-// micro-kernel variant (gemm_kernels_*.cpp, selected at runtime by
+// simulator).  One driver serves every shape, all three operand layouts and
+// every micro-kernel variant (gemm_kernels_*.cpp, selected at runtime by
 // tensor/gemm_tune.cpp):
 //
 //   * C is tiled over (task_rows x NC) tasks: row strips crossed with column
@@ -17,8 +17,8 @@
 //     the selected k-loop accumulates the *full* k extent, and the valid
 //     corner is stored back.  k is never split and every C element sees its
 //     k terms in ascending order, so results are bit-identical for any
-//     thread count, any tiling, any kernel variant (FEDHISYN_GEMM_KERNEL)
-//     and either dispatch path — the determinism contract of
+//     thread count, any tiling and any kernel variant
+//     (FEDHISYN_GEMM_KERNEL) — the determinism contract of
 //     common/parallel.hpp and gemm_kernel.hpp.
 //
 // Historical bit-compatibility: gemm/gemm_tn beta-initialise the accumulator
@@ -47,14 +47,8 @@ namespace {
 using gemmk::GemmKernel;
 using gemmk::GemmOp;
 
-// Below this many multiply-accumulates the pack/tile machinery costs more
-// than it saves; use the simple row kernel (same reduction order, so the two
-// paths are bit-identical and the cutoff is a pure perf knob).
-constexpr std::int64_t kBlockedFlopThreshold = std::int64_t{1} << 15;
-
-// Pool dispatch thresholds: the simple path keeps the historical >= 16 rows
-// rule, the blocked path wants enough work to amortise a pool wakeup.
-constexpr std::int64_t kParallelRowThreshold = 16;
+// Pool dispatch threshold: a call fans out only with enough work to
+// amortise a pool wakeup; smaller ones run their tasks inline.
 constexpr std::int64_t kParallelFlopThreshold = std::int64_t{1} << 17;
 
 // Pack the mr-row strip of op(A) starting at row i0 into ap (k x mr,
@@ -272,60 +266,6 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t m,
   }
 }
 
-/// Run `body(i)` for every output row (the simple-path dispatcher; unchanged
-/// historical behaviour).
-template <typename RowBody>
-void for_each_row(std::int64_t m, const RowBody& body) {
-  if (m >= kParallelRowThreshold && !ParallelExecutor::in_parallel_region()) {
-    ParallelExecutor::current().parallel_for(
-        static_cast<std::size_t>(m),
-        [&](std::size_t i, std::size_t) { body(static_cast<std::int64_t>(i)); });
-  } else {
-    for (std::int64_t i = 0; i < m; ++i) body(i);
-  }
-}
-
-// Small-matrix kernels: the same per-element reduction order as the blocked
-// path (beta first for NN/TN, beta at store for NT; k terms ascending), so
-// the flop-count cutoff never changes a single bit of the result.  Kernel
-// variant and tiling are irrelevant here by construction.
-template <GemmOp V>
-void simple_gemm(const float* a, const float* b, float* c, std::int64_t m,
-                 std::int64_t k, std::int64_t n, float beta) {
-  for_each_row(m, [&](std::int64_t i) {
-    float* ci = c + i * n;
-    if constexpr (V == GemmOp::kNT) {
-      const float* ai = a + i * k;
-      if (beta == 0.0f) {
-        for (std::int64_t j = 0; j < n; ++j) {
-          const float* bj = b + j * k;
-          float acc = 0.0f;
-          for (std::int64_t p = 0; p < k; ++p) acc += ai[p] * bj[p];
-          ci[j] = acc;
-        }
-      } else {
-        for (std::int64_t j = 0; j < n; ++j) {
-          const float* bj = b + j * k;
-          float acc = 0.0f;
-          for (std::int64_t p = 0; p < k; ++p) acc += ai[p] * bj[p];
-          ci[j] = beta * ci[j] + acc;
-        }
-      }
-    } else {
-      if (beta == 0.0f) {
-        for (std::int64_t j = 0; j < n; ++j) ci[j] = 0.0f;
-      } else if (beta != 1.0f) {
-        for (std::int64_t j = 0; j < n; ++j) ci[j] *= beta;
-      }
-      for (std::int64_t p = 0; p < k; ++p) {
-        const float aip = (V == GemmOp::kTN) ? a[p * m + i] : a[i * k + p];
-        const float* bp = b + p * n;
-        for (std::int64_t j = 0; j < n; ++j) ci[j] += aip * bp[j];
-      }
-    }
-  });
-}
-
 // Interned span name for a (op, n) shape class.  Traced paths only; the
 // one-entry memo makes the common case (repeated calls of one shape per
 // layer) lock-free after the first intern.
@@ -342,8 +282,8 @@ const char* traced_shape_name(GemmOp op, std::int64_t n) {
   return memo.name;
 }
 
-// One public gemm call: count it, span it, and run the simple or the
-// blocked path with the process-wide kernel.
+// One public gemm call: count it, span it, and run the blocked driver with
+// the process-wide kernel — every shape, however small, takes this path.
 void gemm_run(GemmOp op, const float* a, const float* b, float* c,
               std::int64_t m, std::int64_t k, std::int64_t n, float beta) {
   static counters::Counter& calls = counters::counter("gemm.calls");
@@ -355,13 +295,6 @@ void gemm_run(GemmOp op, const float* a, const float* b, float* c,
                         "gemm");
   span.sarg("variant", gemm_runtime_info().variant.c_str());
   span.arg("flops", 2 * m * k * n);
-  if (m * k * n < kBlockedFlopThreshold) {
-    switch (op) {
-      case GemmOp::kNN: simple_gemm<GemmOp::kNN>(a, b, c, m, k, n, beta); return;
-      case GemmOp::kNT: simple_gemm<GemmOp::kNT>(a, b, c, m, k, n, beta); return;
-      case GemmOp::kTN: simple_gemm<GemmOp::kTN>(a, b, c, m, k, n, beta); return;
-    }
-  }
   const GemmKernel& kernel = gemm_runtime_kernel();
   switch (op) {
     case GemmOp::kNN: blocked_gemm<GemmOp::kNN>(a, b, c, m, k, n, beta, kernel); return;

@@ -1,20 +1,19 @@
 // Single-precision GEMM kernels used by the dense and convolution layers.
 //
-// C (MxN) += / = op(A) * op(B).  Row-major.  Large shapes run a blocked,
-// packed kernel (see gemm.cpp): C is tiled over a 2-D (row strip x column
-// panel) grid that the ParallelExecutor pool fans out over (inline when
-// already inside a parallel region), A/B panels are packed into per-thread
-// aligned scratch, and an MRxNR register micro-kernel does the arithmetic.
-// The micro-kernel is multiversioned per ISA (generic / AVX2 / AVX-512 /
-// NEON, one register tile each, see gemm_kernel.hpp) and selected once per
-// process by runtime CPUID dispatch — overridable via FEDHISYN_GEMM_KERNEL;
-// the selection layer is tensor/gemm_tune.hpp.  Tiny shapes take a simple
-// row kernel with the identical reduction order.
+// C (MxN) += / = op(A) * op(B).  Row-major.  Every shape runs one blocked,
+// packed driver (see gemm.cpp): C is tiled over a 2-D (row strip x column
+// panel) grid that the ParallelExecutor pool fans out over (inline for small
+// calls or when already inside a parallel region), A/B panels are packed
+// into per-thread aligned scratch, and an MRxNR register micro-kernel does
+// the arithmetic.  The micro-kernel is multiversioned per ISA (generic /
+// AVX2 / AVX-512 / NEON, one register tile each, see gemm_kernel.hpp) and
+// selected once per process by runtime CPUID dispatch — overridable via
+// FEDHISYN_GEMM_KERNEL; the selection layer is tensor/gemm_tune.hpp.
 //
 // Determinism: i/j are blocked but k never is — every C element accumulates
 // its k terms in ascending order with one rounded multiply and one rounded
 // add per term (no FMA anywhere), so results are bit-identical across thread
-// counts, kernel variants and dispatch paths.  Not a BLAS replacement —
+// counts, tilings and kernel variants.  Not a BLAS replacement —
 // sized for the models the FL simulation trains — but verified against an
 // order-exact reference (every kernel variant forced, exact float equality)
 // in tests/tensor_test.cpp and swept in bench/gemm_sweep.cpp.

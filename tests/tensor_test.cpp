@@ -144,8 +144,8 @@ TEST(Gemm, TransposedVariantsAgreeWithExplicitTranspose) {
 // --- order-exact references --------------------------------------------------
 // Same per-element float arithmetic as the kernels, spelled naively: k terms
 // in ascending order; gemm/gemm_tn start from the beta-applied C value,
-// gemm_nt accumulates from zero and applies beta at the store.  The blocked,
-// simple and parallel paths must all reproduce these bits exactly.
+// gemm_nt accumulates from zero and applies beta at the store.  The blocked
+// driver must reproduce these bits exactly, inline and on the pool.
 
 void exact_gemm(const std::vector<float>& a, const std::vector<float>& b,
                 std::vector<float>& c, std::int64_t m, std::int64_t k,
@@ -237,13 +237,17 @@ void expect_all_variants_exact(std::int64_t m, std::int64_t k, std::int64_t n,
 
 // Adversarial shapes for the blocked kernel: degenerate m/n/k of 1, sizes
 // straddling register tiles (up to 8x16), the row-strip, and the column
-// panel (512, via n = 520), plus a flop count large enough to cross the
-// simple-path cutoff and dispatch the pool.  Shared between the
-// parameterised suite (default kernel) and the kernel-variant matrix below.
+// panel (512, via n = 520), plus flop counts large enough to dispatch the
+// pool.  Every shape, however tiny, runs the register kernel.  Then three
+// Table-1 census shapes (mnist's Dense layers at batch 40, cifar100's
+// weight-gradient call) and an empty k, where C is only beta-scaled.
+// Shared between the parameterised suite (default kernel) and the
+// kernel-variant matrix below.
 const std::tuple<int, int, int> kGemmEdgeShapes[] = {
-    {1, 1, 1},   {1, 300, 1},  {1, 37, 300},  {300, 37, 1},
-    {3, 5, 7},   {4, 64, 8},   {5, 64, 9},    {7, 129, 15},
+    {1, 1, 1},    {1, 300, 1},  {1, 37, 300},  {300, 37, 1},
+    {3, 5, 7},    {4, 64, 8},   {5, 64, 9},    {7, 129, 15},
     {9, 33, 130}, {33, 70, 520}, {64, 256, 96},
+    {40, 32, 16}, {40, 16, 10}, {192, 50, 64}, {3, 0, 5},
 };
 
 class GemmExactShapes

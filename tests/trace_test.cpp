@@ -217,10 +217,25 @@ TEST(Counters, HistogramTracksCountSumBoundsAndQuantiles) {
   EXPECT_GE(h.sum(), 115u);
   EXPECT_LE(h.min(), 3u);
   EXPECT_GE(h.max(), 100u);
-  // Power-of-two buckets: quantiles are bucket upper bounds, so p50 of
-  // {3,5,7,100} lands in [4,8) -> 7, and p100 covers 100 -> [64,128) -> 127.
+  // Power-of-two buckets: a quantile interpolates within its bucket, so p50
+  // of {3,5,7,100} lands in [4,8), and p100 is the recorded max.
   EXPECT_GE(h.quantile(1.0), 100u);
   EXPECT_GT(h.quantile(0.5), 0u);
+}
+
+TEST(Counters, HistogramQuantilesInterpolateWithinABucket) {
+  // Seven cells, six of them in the [2^18, 2^19) bucket: a bucket-bound
+  // quantile would report p50 = p95 = max here.
+  counters::Histogram h;
+  h.record(52000);
+  for (int i = 0; i < 5; ++i) h.record(300000);
+  h.record(330000);
+  const std::uint64_t p50 = h.quantile(0.5);
+  const std::uint64_t p95 = h.quantile(0.95);
+  EXPECT_GE(h.quantile(0.0), h.min());
+  EXPECT_LT(p50, p95);
+  EXPECT_LE(p95, h.max());
+  EXPECT_EQ(h.quantile(1.0), h.max());
 }
 
 TEST(Counters, HistogramQuantilesNeverExceedTheMax) {
