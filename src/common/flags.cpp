@@ -1,5 +1,6 @@
 #include "common/flags.hpp"
 
+#include "common/check.hpp"
 #include "common/env.hpp"
 
 namespace fedhisyn {
@@ -54,7 +55,12 @@ double Flags::get_double(const std::string& key, double fallback) const {
 bool Flags::get_bool(const std::string& key, bool fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& value = it->second;
+  if (value == "true" || value == "1" || value == "yes") return true;
+  FEDHISYN_CHECK_MSG(value == "false" || value == "0" || value == "no",
+                     "--" << key << "='" << value
+                          << "' is not a boolean (true|1|yes|false|0|no)");
+  return false;
 }
 
 }  // namespace fedhisyn

@@ -23,7 +23,9 @@ class Flags {
   /// number ("4x", "abc") check-fails, naming the flag.
   long get_long(const std::string& key, long fallback) const;
   double get_double(const std::string& key, double fallback) const;
-  /// Boolean switch: present without value (or with "true"/"1") = true.
+  /// Boolean switch: present without a value = true; a value must be one of
+  /// true|1|yes|false|0|no, anything else check-fails, naming the flag (so
+  /// `--resume results.jsonl` stops instead of silently reading as false).
   bool get_bool(const std::string& key, bool fallback = false) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

@@ -10,7 +10,6 @@ namespace fedhisyn {
 
 namespace {
 thread_local bool tl_in_parallel = false;
-thread_local std::size_t tl_slot = 0;
 thread_local ParallelExecutor* tl_current = nullptr;
 
 struct AlignedScratch {
@@ -58,8 +57,8 @@ void ParallelExecutor::start_workers(std::size_t threads) {
     generation_ = 0;
   }
   workers_.reserve(threads - 1);
-  for (std::size_t slot = 1; slot < threads; ++slot) {
-    workers_.emplace_back([this, slot] { worker_loop(slot); });
+  for (std::size_t w = 1; w < threads; ++w) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -82,7 +81,7 @@ void ParallelExecutor::set_thread_count(std::size_t threads) {
   start_workers(threads);
 }
 
-void ParallelExecutor::worker_loop(std::size_t slot) {
+void ParallelExecutor::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
     const Body* body = nullptr;
@@ -97,7 +96,7 @@ void ParallelExecutor::worker_loop(std::size_t slot) {
       body = body_;
       n = job_n_;
     }
-    run_span(*body, n, slot);
+    run_span(*body, n);
     {
       MutexLock lock(mutex_);
       if (--active_workers_ == 0) cv_done_.notify_all();
@@ -105,23 +104,20 @@ void ParallelExecutor::worker_loop(std::size_t slot) {
   }
 }
 
-void ParallelExecutor::run_span(const Body& body, std::size_t n, std::size_t slot) {
+void ParallelExecutor::run_span(const Body& body, std::size_t n) {
   const bool was_in_parallel = tl_in_parallel;
-  const std::size_t previous_slot = tl_slot;
   tl_in_parallel = true;
-  tl_slot = slot;
   for (;;) {
     const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
     if (i >= n) break;
     try {
-      body(i, slot);
+      body(i);
     } catch (...) {
       MutexLock lock(mutex_);
       if (!error_) error_ = std::current_exception();
     }
   }
   tl_in_parallel = was_in_parallel;
-  tl_slot = previous_slot;
 }
 
 void ParallelExecutor::parallel_for(std::size_t n, const Body& body) {
@@ -129,29 +125,29 @@ void ParallelExecutor::parallel_for(std::size_t n, const Body& body) {
   // Inline execution matches the pooled contract: drain every index, then
   // rethrow the first exception — so exceptional runs see the same side
   // effects for any thread count.
-  const auto run_inline = [&](std::size_t slot) {
+  const auto run_inline = [&] {
     std::exception_ptr first;
     for (std::size_t i = 0; i < n; ++i) {
       try {
-        body(i, slot);
+        body(i);
       } catch (...) {
         if (!first) first = std::current_exception();
       }
     }
     if (first) std::rethrow_exception(first);
   };
-  // Nested loops run inline: the current slot keeps its scratch, and a body
-  // that itself calls parallel_for can never deadlock on the pool it is
-  // running on.
+  // Nested loops run inline: the body stays on the thread (and its
+  // thread-local scratch) it was called from, and can never deadlock on the
+  // pool it is running on.
   if (tl_in_parallel) {
-    run_inline(tl_slot);
+    run_inline();
     return;
   }
   // Top-level but effectively serial: run on the caller, leaving the region
   // flag clear so kernels inside the single body (gemm rows, conv batches)
   // can still fan out over the idle pool.
   if (workers_.empty() || n == 1) {
-    run_inline(0);
+    run_inline();
     return;
   }
   // Only pooled top-level batches get a span: nested and serial calls run
@@ -164,7 +160,7 @@ void ParallelExecutor::parallel_for(std::size_t n, const Body& body) {
     if (dispatching_) {
       throw std::logic_error(
           "ParallelExecutor::parallel_for: concurrent top-level dispatch from "
-          "another thread — the pool has one job slot (nested calls are fine)");
+          "another thread — the pool serves one job at once (nested calls are fine)");
     }
     dispatching_ = true;
     body_ = &body;
@@ -175,7 +171,7 @@ void ParallelExecutor::parallel_for(std::size_t n, const Body& body) {
     ++generation_;
   }
   cv_work_.notify_all();
-  run_span(body, n, /*slot=*/0);
+  run_span(body, n);
   std::exception_ptr error;
   {
     MutexLock lock(mutex_);

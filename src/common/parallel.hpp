@@ -6,9 +6,13 @@
 //     depend only on i (plus per-index seeded Rng streams), never on which
 //     thread runs it or in which order indices complete.  Under that contract
 //     a 1-thread run and an N-thread run are bit-identical.
-//   * The caller thread participates as slot 0; pool workers are slots
-//     1..thread_count()-1.  `slot` is stable for the duration of one body
-//     invocation and is the index for per-thread scratch arrays.
+//   * The caller thread participates alongside the pool workers, and one
+//     body invocation runs start to finish on one thread.
+//   * Per-thread scratch is `thread_local` at its point of use
+//     (ScratchArena's kernel buffers, the trainer's batch buffers, the
+//     evaluation workspace), never an array indexed by worker.  A body may
+//     leave that scratch in any state: its next user must overwrite what it
+//     reads, so contents never reach a result.
 //   * Nested parallel_for calls (e.g. a parallel GEMM inside a parallel
 //     device loop) execute inline on the calling thread — no deadlock, no
 //     oversubscription.
@@ -60,7 +64,7 @@ class ScratchArena {
 
 class ParallelExecutor {
  public:
-  using Body = std::function<void(std::size_t index, std::size_t slot)>;
+  using Body = std::function<void(std::size_t index)>;
 
   /// threads == 0 resolves via threads_from_env().
   explicit ParallelExecutor(std::size_t threads = 0);
@@ -68,21 +72,21 @@ class ParallelExecutor {
   ParallelExecutor(const ParallelExecutor&) = delete;
   ParallelExecutor& operator=(const ParallelExecutor&) = delete;
 
-  /// Total execution slots (pool workers + the participating caller).
+  /// Threads a parallel_for runs on (pool workers + the participating caller).
   std::size_t thread_count() const { return workers_.size() + 1; }
 
   /// Resize the pool (clamped to >= 1).  Must not be called while a
   /// parallel_for on this executor is in flight.
   void set_thread_count(std::size_t threads);
 
-  /// Invoke body(i, slot) once for every i in [0, n).  Blocks until all
+  /// Invoke body(i) once for every i in [0, n).  Blocks until all
   /// indices complete; the first exception thrown by a body is rethrown on
   /// the caller after the loop drains.  Safe to call with n == 0.
   ///
-  /// One top-level dispatch at a time: the pool has a single job slot, so
-  /// concurrent parallel_for calls from *different* threads on the same
-  /// executor are rejected (throws).  Nested calls from inside a body are
-  /// fine (they run inline); fan out over items, not over callers.
+  /// One top-level dispatch at a time: concurrent parallel_for calls from
+  /// *different* threads on the same executor are rejected (throws).  Nested
+  /// calls from inside a body are fine (they run inline); fan out over items,
+  /// not over callers.
   void parallel_for(std::size_t n, const Body& body);
 
   /// True when the current thread is already inside a parallel_for body (used
@@ -100,7 +104,7 @@ class ParallelExecutor {
   /// Bind on this thread, or global() when none is bound.  Kernels and
   /// algorithms fan out on current() so a scheduler can give concurrent
   /// experiment cells private pools (each cell thread binds its own executor
-  /// and the cells never contend for global()'s single job slot).
+  /// and the cells never contend for global(), which serves one job at once).
   static ParallelExecutor& current();
 
   /// RAII thread-local override of current() for the calling thread.  Bind
@@ -119,8 +123,8 @@ class ParallelExecutor {
   };
 
  private:
-  void worker_loop(std::size_t slot);
-  void run_span(const Body& body, std::size_t n, std::size_t slot);
+  void worker_loop();
+  void run_span(const Body& body, std::size_t n);
   void start_workers(std::size_t threads) FEDHISYN_EXCLUDES(mutex_);
   void stop_workers() FEDHISYN_EXCLUDES(mutex_);
 
@@ -143,7 +147,7 @@ class ParallelExecutor {
   std::atomic<std::size_t> next_{0};  // index claim counter, lock-free
   std::size_t active_workers_ FEDHISYN_GUARDED_BY(mutex_) = 0;
   std::exception_ptr error_ FEDHISYN_GUARDED_BY(mutex_);
-  /// Guards the single top-level job slot.
+  /// Set while a top-level job is in flight.
   bool dispatching_ FEDHISYN_GUARDED_BY(mutex_) = false;
 };
 

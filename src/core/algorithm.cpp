@@ -1,7 +1,6 @@
 #include "core/algorithm.hpp"
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
 #include "core/trainer.hpp"
 #include "sim/participation.hpp"
 
@@ -20,7 +19,7 @@ FlAlgorithm::FlAlgorithm(const FlContext& ctx) : ctx_(ctx), rng_(ctx.opts.seed) 
 float FlAlgorithm::evaluate_test_accuracy() {
   const auto& test = ctx_.fed->test;
   return ctx_.network->accuracy(global_, test.x,
-                                std::span<const std::int32_t>(test.y), eval_ws_);
+                                std::span<const std::int32_t>(test.y));
 }
 
 double FlAlgorithm::round_duration() const {
@@ -112,16 +111,11 @@ RoundGraphStats FlAlgorithm::run_async_round(
   // ---- Phase 2: execute.  Training jobs fan out on the pool in wavefronts;
   // the cheap server mixes run as the graph's commit chain, strictly in
   // event order on this thread.
-  auto& pool = ParallelExecutor::current();
-  if (job_scratch_.size() < pool.thread_count()) {
-    job_scratch_.resize(pool.thread_count());
-  }
   const RoundGraphExecutor executor(RoundGraphExecutor::Mode::kOverlap);
   last_round_stats_ = executor.run(
       graph,
-      [&](const RoundJob& job, std::vector<float>& model, std::size_t slot) {
-        run_async_job(job.device, epochs, Rng(job.stream),
-                      std::span<float>(model), job_scratch_[slot]);
+      [&](const RoundJob& job, std::vector<float>& model) {
+        run_async_job(job.device, epochs, Rng(job.stream), std::span<float>(model));
       },
       [&](std::size_t index, const std::vector<float>& output,
           std::vector<float>* publish_into) {
@@ -136,12 +130,11 @@ RoundGraphStats FlAlgorithm::run_async_round(
 }
 
 void FlAlgorithm::run_async_job(std::size_t device, int epochs, Rng rng,
-                                std::span<float> model, TrainScratch& scratch) {
+                                std::span<float> model) {
   UpdateExtras extras;
   extras.momentum = ctx_.opts.momentum;
   train_local(*ctx_.network, model, ctx_.fed->shards[device], epochs,
-              ctx_.opts.batch_size, ctx_.opts.lr, UpdateKind::kSgd, extras, rng,
-              scratch);
+              ctx_.opts.batch_size, ctx_.opts.lr, UpdateKind::kSgd, extras, rng);
 }
 
 }  // namespace fedhisyn::core

@@ -84,20 +84,13 @@ class FlAlgorithm {
   /// The one local-training invocation every async job goes through, so
   /// jobs can never diverge on hyper-parameters (the byte-identity contract
   /// depends on it).
-  void run_async_job(std::size_t device, int epochs, Rng rng, std::span<float> model,
-                     TrainScratch& scratch);
-
-  /// Per-slot scratch reused across rounds by the async helpers (scratch
-  /// contents never leak into results — train_local resets per job).
-  std::vector<TrainScratch> job_scratch_;
+  void run_async_job(std::size_t device, int epochs, Rng rng, std::span<float> model);
 
  protected:
-
   FlContext ctx_;
   std::vector<float> global_;
   sim::CommTracker comm_;
   Rng rng_;
-  nn::Workspace eval_ws_;
   int rounds_completed_ = 0;
   RoundGraphStats last_round_stats_;
 };

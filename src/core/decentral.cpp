@@ -28,16 +28,13 @@ float mean_device_accuracy(const FlContext& ctx,
                            const std::vector<std::size_t>& devices) {
   FEDHISYN_CHECK(!devices.empty());
   const auto& test = ctx.fed->test;
-  auto& pool = ParallelExecutor::current();
-  std::vector<nn::Workspace> workspaces(pool.thread_count());
-  // Per-device accuracies land in their own slots and are summed in index
+  // Per-device accuracies land in their own entries and are summed in index
   // order afterwards, so the reduction is bit-identical for any thread count
   // (an OpenMP-style racy reduction would not be).
   std::vector<double> accuracies(devices.size(), 0.0);
-  pool.parallel_for(devices.size(), [&](std::size_t i, std::size_t slot) {
+  ParallelExecutor::current().parallel_for(devices.size(), [&](std::size_t i) {
     accuracies[i] = ctx.network->accuracy(models[devices[i]], test.x,
-                                          std::span<const std::int32_t>(test.y),
-                                          workspaces[slot]);
+                                          std::span<const std::int32_t>(test.y));
   });
   double total = 0.0;
   for (const auto accuracy : accuracies) total += accuracy;
@@ -68,18 +65,15 @@ std::string DecentralHomogeneous::name() const {
 
 void DecentralHomogeneous::run_round() {
   const std::size_t n = ctx_.device_count();
-  auto& pool = ParallelExecutor::current();
-  std::vector<TrainScratch> scratch(pool.thread_count());
 
   // (1) Everyone trains one job on its current model.
-  pool.parallel_for(n, [&](std::size_t d, std::size_t slot) {
-    auto& my_scratch = scratch[slot];
+  ParallelExecutor::current().parallel_for(n, [&](std::size_t d) {
     Rng device_rng = job_stream(0xBF58476Dull, 0x94D049BBull, d, 0);
     UpdateExtras extras;
     extras.momentum = ctx_.opts.momentum;
     train_local(*ctx_.network, device_models_[d], ctx_.fed->shards[d],
                 ctx_.opts.local_epochs, ctx_.opts.batch_size, ctx_.opts.lr,
-                UpdateKind::kSgd, extras, device_rng, my_scratch);
+                UpdateKind::kSgd, extras, device_rng);
   });
 
   // (2) Communication step.

@@ -52,7 +52,6 @@ void FedATAlgo::run_round() {
   if (!tiers_built_) build_tiers();
   const double interval = round_duration();
   auto& pool = ParallelExecutor::current();
-  std::vector<TrainScratch> scratch(pool.thread_count());
 
   // Each tier independently completes floor(interval / tier_round_time)
   // synchronous tier-rounds within the common interval.  Tier rounds are
@@ -70,9 +69,8 @@ void FedATAlgo::run_round() {
       if (active.empty()) continue;
 
       std::vector<std::vector<float>> locals(active.size());
-      pool.parallel_for(active.size(), [&](std::size_t i, std::size_t slot) {
+      pool.parallel_for(active.size(), [&](std::size_t i) {
         const std::size_t device = active[i];
-        auto& my_scratch = scratch[slot];
         Rng device_rng =
             job_stream(0x165667B1ull, 0xD3A2646Cull, device,
                        0xFD7046C5ull * static_cast<std::uint64_t>(tr + 1));
@@ -81,7 +79,7 @@ void FedATAlgo::run_round() {
         extras.momentum = ctx_.opts.momentum;
         train_local(*ctx_.network, locals[i], ctx_.fed->shards[device],
                     ctx_.opts.local_epochs, ctx_.opts.batch_size, ctx_.opts.lr,
-                    UpdateKind::kSgd, extras, device_rng, my_scratch);
+                    UpdateKind::kSgd, extras, device_rng);
       });
       for (std::size_t i = 0; i < active.size(); ++i) {
         comm_.record_server_download();

@@ -37,12 +37,8 @@ void FedAvgFamily::run_round() {
   // from the same global snapshot.  Determinism: per-device Rng derived from
   // (seed, round, device id), independent of thread schedule.
   std::vector<std::vector<float>> locals(participants.size());
-  auto& pool = ParallelExecutor::current();
-  std::vector<TrainScratch> scratch(pool.thread_count());
-
-  pool.parallel_for(participants.size(), [&](std::size_t i, std::size_t slot) {
+  ParallelExecutor::current().parallel_for(participants.size(), [&](std::size_t i) {
     const std::size_t device = participants[i];
-    auto& my_scratch = scratch[slot];
     Rng device_rng = job_stream(0x517CC1B7ull, 0x2545F491ull, device, 0);
     locals[i] = global_;
     UpdateExtras extras;
@@ -55,7 +51,7 @@ void FedAvgFamily::run_round() {
     }
     train_local(*ctx_.network, locals[i], ctx_.fed->shards[device],
                 epochs_for_device(device, interval), ctx_.opts.batch_size, ctx_.opts.lr,
-                kind, extras, device_rng, my_scratch);
+                kind, extras, device_rng);
   });
 
   for (std::size_t i = 0; i < participants.size(); ++i) {

@@ -3,7 +3,6 @@
 #include <deque>
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
 #include "core/round_graph.hpp"
 
 namespace fedhisyn::core {
@@ -154,18 +153,16 @@ RingEngineResult RingEngine::run_interval(const std::vector<sim::RingTopology>& 
   // from its own stream (derived from the caller's rng and the job's event
   // order), never from thread identity.  No commit chain — ring circulation
   // has no server.
-  auto& pool = ParallelExecutor::current();
-  std::vector<TrainScratch> scratch(pool.thread_count());
   const RoundGraphExecutor executor(RoundGraphExecutor::Mode::kOverlap);
   executor.run(
       graph,
-      [&](const RoundJob& job, std::vector<float>& model, std::size_t slot) {
+      [&](const RoundJob& job, std::vector<float>& model) {
         Rng job_rng(job.stream);
         UpdateExtras extras;
         extras.momentum = ctx_.opts.momentum;
         train_local(*ctx_.network, std::span<float>(model),
                     ctx_.fed->shards[job.device], epochs, ctx_.opts.batch_size,
-                    ctx_.opts.lr, UpdateKind::kSgd, extras, job_rng, scratch[slot]);
+                    ctx_.opts.lr, UpdateKind::kSgd, extras, job_rng);
       },
       nullptr);
 

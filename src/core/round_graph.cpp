@@ -300,7 +300,7 @@ RoundGraphStats RoundGraphExecutor::run(RoundGraph& graph, const TrainFn& train,
       job_span.arg("job", static_cast<std::int64_t>(j));
       auto& out = nodes[static_cast<std::size_t>(graph.outputs_[j])];
       out.value = make_model(j);
-      train(jobs[j], out.value, 0);
+      train(jobs[j], out.value);
       out.has_value = true;
       if (has_commit) run_commit(j);
       release_inputs(j);
@@ -316,7 +316,7 @@ RoundGraphStats RoundGraphExecutor::run(RoundGraph& graph, const TrainFn& train,
   // wavefront state (nodes, done, refs) is read and written on the caller
   // thread between waves; during a wave the pool body touches only its own
   // job — its input nodes (made stable before dispatch: moves happen only
-  // via the job's own make_model) and its private output slot.
+  // via the job's own make_model) and its private output node.
   // parallel_for's barrier orders every wave's writes before the epilogue's
   // reads, so the engine needs no mutex to annotate.
   auto& pool = ParallelExecutor::current();
@@ -334,16 +334,16 @@ RoundGraphStats RoundGraphExecutor::run(RoundGraph& graph, const TrainFn& train,
     if (!wave.empty()) {
       // The wave span lives on the caller thread and encloses the pool
       // barrier; train_job spans land on each executing thread's lane (the
-      // caller trains inline as slot 0, so its jobs nest inside the wave).
+      // caller trains inline too, so its jobs nest inside the wave).
       trace::TraceSpan wave_span("wave", "round_graph");
       wave_span.arg("level", level);
       wave_span.arg("batch", static_cast<std::int64_t>(wave.size()));
-      pool.parallel_for(wave.size(), [&](std::size_t i, std::size_t slot) {
+      pool.parallel_for(wave.size(), [&](std::size_t i) {
         const std::size_t j = wave[i];
         trace::TraceSpan job_span("train_job", "round_graph");
         job_span.arg("job", static_cast<std::int64_t>(j));
         auto model = make_model(j);
-        train(jobs[j], model, slot);
+        train(jobs[j], model);
         auto& out = nodes[static_cast<std::size_t>(graph.outputs_[j])];
         out.value = std::move(model);
         out.has_value = true;

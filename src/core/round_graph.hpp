@@ -116,11 +116,9 @@ class RoundGraphExecutor {
   enum class Mode { kSerial, kOverlap };
 
   /// Train the model in place.  Must be a pure deterministic function of
-  /// (job.device, job.stream, model bytes); `slot` indexes the caller's
-  /// per-thread scratch (< ParallelExecutor::current().thread_count()).
+  /// (job.device, job.stream, model bytes); runs on any pool thread.
   using TrainFn =
-      std::function<void(const RoundJob& job, std::vector<float>& model,
-                         std::size_t slot)>;
+      std::function<void(const RoundJob& job, std::vector<float>& model)>;
 
   /// Serial commit chain, invoked in job order on the caller thread with the
   /// job's final output.  `publish_into`, when non-null, is the storage of

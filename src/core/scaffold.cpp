@@ -22,14 +22,11 @@ void ScaffoldAlgo::run_round() {
 
   std::vector<std::vector<float>> locals(participants.size());
   std::vector<std::vector<float>> c_deltas(participants.size());
-  auto& pool = ParallelExecutor::current();
-  std::vector<TrainScratch> scratch(pool.thread_count());
 
   // Participants never share a device within one round (drawn without
   // replacement), so the c_local_[device] refresh below is race-free.
-  pool.parallel_for(participants.size(), [&](std::size_t i, std::size_t slot) {
+  ParallelExecutor::current().parallel_for(participants.size(), [&](std::size_t i) {
     const std::size_t device = participants[i];
-    auto& my_scratch = scratch[slot];
     Rng device_rng = job_stream(0x9E3779B9ull, 0x85EBCA6Bull, device, 0);
     locals[i] = global_;
 
@@ -43,7 +40,7 @@ void ScaffoldAlgo::run_round() {
     const auto outcome =
         train_local(*ctx_.network, locals[i], ctx_.fed->shards[device], epochs,
                     ctx_.opts.batch_size, ctx_.opts.lr, UpdateKind::kScaffold, extras,
-                    device_rng, my_scratch);
+                    device_rng);
 
     // Option II refresh: c_i^+ = c_i - c + (w_G - w_i) / (steps * lr).
     c_deltas[i].resize(param_count);

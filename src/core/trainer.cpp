@@ -1,16 +1,28 @@
 #include "core/trainer.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/check.hpp"
 #include "nn/update.hpp"
 
 namespace fedhisyn::core {
 
+namespace {
+/// Reusable buffers for the trainer on one thread.
+struct TrainScratch {
+  nn::Workspace ws;
+  Tensor batch_x;
+  std::vector<std::int32_t> batch_y;
+  std::vector<float> grad;
+  std::vector<float> velocity;  // momentum buffer, reset every job
+  std::vector<std::int64_t> order;
+};
+}  // namespace
+
 TrainOutcome train_local(const nn::Network& network, std::span<float> weights,
                          const data::Shard& shard, int epochs, int batch_size, float lr,
-                         UpdateKind kind, const UpdateExtras& extras, Rng& rng,
-                         TrainScratch& scratch) {
+                         UpdateKind kind, const UpdateExtras& extras, Rng& rng) {
   FEDHISYN_CHECK(epochs >= 1);
   FEDHISYN_CHECK(batch_size >= 1);
   FEDHISYN_CHECK(shard.size() >= 1);
@@ -23,13 +35,15 @@ TrainOutcome train_local(const nn::Network& network, std::span<float> weights,
     FEDHISYN_CHECK(extras.c_global.size() == weights.size());
   }
 
+  thread_local TrainScratch scratch;
   scratch.grad.resize(weights.size());
   if (kind == UpdateKind::kSgd && extras.momentum > 0.0f) {
     scratch.velocity.assign(weights.size(), 0.0f);
   }
   // Always reset to the identity permutation: results must depend only on
-  // (weights, shard, rng), never on what a reused scratch trained before —
-  // otherwise pool slot-to-device mappings would leak into the output.
+  // (weights, shard, rng), never on what this thread's scratch trained
+  // before — otherwise the pool's thread-to-device mapping would leak into
+  // the output.
   scratch.order.resize(static_cast<std::size_t>(shard.size()));
   for (std::size_t i = 0; i < scratch.order.size(); ++i) {
     scratch.order[i] = static_cast<std::int64_t>(i);

@@ -1,28 +1,18 @@
 // Local (on-device) training: mini-batch SGD with the plain, proximal
-// (FedProx) and control-variate (SCAFFOLD) update rules.  One TrainScratch
-// per concurrent caller; algorithms running devices in parallel allocate one
-// scratch per ParallelExecutor slot.
+// (FedProx) and control-variate (SCAFFOLD) update rules.  train_local is
+// safe to call from any number of threads at once: its batch, gradient and
+// workspace buffers are thread-local, reused by the next job on the same
+// thread and reset or overwritten before they are read.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "data/dataset.hpp"
 #include "nn/network.hpp"
 
 namespace fedhisyn::core {
-
-/// Reusable buffers for one trainer thread.
-struct TrainScratch {
-  nn::Workspace ws;
-  Tensor batch_x;
-  std::vector<std::int32_t> batch_y;
-  std::vector<float> grad;
-  std::vector<float> velocity;  // momentum buffer, reset every job
-  std::vector<std::int64_t> order;
-};
 
 enum class UpdateKind { kSgd, kProx, kScaffold };
 
@@ -47,7 +37,6 @@ struct TrainOutcome {
 /// place.  Batches are reshuffled every epoch from `rng`.
 TrainOutcome train_local(const nn::Network& network, std::span<float> weights,
                          const data::Shard& shard, int epochs, int batch_size, float lr,
-                         UpdateKind kind, const UpdateExtras& extras, Rng& rng,
-                         TrainScratch& scratch);
+                         UpdateKind kind, const UpdateExtras& extras, Rng& rng);
 
 }  // namespace fedhisyn::core

@@ -1,11 +1,13 @@
 #include "exp/driver.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 
 #include "common/check.hpp"
 #include "common/counters.hpp"
+#include "common/env.hpp"
 #include "common/parallel.hpp"
 #include "common/trace.hpp"
 #include "core/registry.hpp"
@@ -82,12 +84,14 @@ GridDriverOptions handle_grid_flags(const Flags& flags) {
   }
   if (flags.has("threads")) {
     const long threads = flags.get_long("threads", 0);
-    ParallelExecutor::global().set_thread_count(
-        threads > 0 ? static_cast<std::size_t>(threads) : 1);
+    FEDHISYN_CHECK_MSG(threads > 0, "--threads takes a positive thread count, got "
+                                        << threads);
+    ParallelExecutor::global().set_thread_count(static_cast<std::size_t>(threads));
   }
   GridDriverOptions options;
   const long jobs = flags.get_long("grid-jobs", 1);
-  options.grid_jobs = jobs > 0 ? static_cast<std::size_t>(jobs) : 1;
+  FEDHISYN_CHECK_MSG(jobs > 0, "--grid-jobs takes a positive cell count, got " << jobs);
+  options.grid_jobs = static_cast<std::size_t>(jobs);
   options.out = flags.get("out", "");
   if (flags.has("dispatch")) {
     const std::string mode = flags.get("dispatch", "thread");
@@ -238,10 +242,8 @@ std::vector<double> participations_from_flags(const Flags& flags,
   if (items.empty()) return defaults;
   std::vector<double> fractions;
   for (const auto& item : items) {
-    char* end = nullptr;
-    const double percent = std::strtod(item.c_str(), &end);
-    FEDHISYN_CHECK_MSG(end != item.c_str() && *end == '\0' && percent > 0.0 &&
-                           percent <= 100.0,
+    const double percent = parse_double("--part", item);
+    FEDHISYN_CHECK_MSG(percent > 0.0 && percent <= 100.0,
                        "--part value '" << item << "' is not a percentage");
     fractions.push_back(percent / 100.0);
   }
@@ -259,11 +261,9 @@ std::vector<data::PartitionConfig> partitions_from_flags(
       config.iid = true;
       config.beta = 0.0;
     } else if (item.rfind("dir", 0) == 0) {
-      const std::string beta = item.substr(3);
-      char* end = nullptr;
       config.iid = false;
-      config.beta = std::strtod(beta.c_str(), &end);
-      FEDHISYN_CHECK_MSG(end != beta.c_str() && *end == '\0' && config.beta > 0.0,
+      config.beta = parse_double("--partition", item.substr(3));
+      FEDHISYN_CHECK_MSG(config.beta > 0.0 && std::isfinite(config.beta),
                          "--partition token '" << item << "' needs dir<beta>");
     } else {
       FEDHISYN_CHECK_MSG(false, "--partition token '" << item

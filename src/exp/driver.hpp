@@ -1,8 +1,9 @@
 // Shared command-line handling for the grid drivers (Table 1 / figure
 // benches, examples, CLI).  Every driver built on the exp API accepts:
 //
-//   --threads N       worker-thread budget (FEDHISYN_THREADS env fallback)
-//   --grid-jobs N     concurrent grid cells (default 1)
+//   --threads N       worker-thread budget (FEDHISYN_THREADS env fallback);
+//                     N must be >= 1
+//   --grid-jobs N     concurrent grid cells (default 1); N must be >= 1
 //   --dispatch MODE   thread | process | tcp: run cells on in-process worker
 //                     threads (default), on a crash-isolated pool of worker
 //                     processes, or on remote --serve workers over TCP;
@@ -44,6 +45,8 @@
 //   --gemm-info       print the resolved GEMM dispatch state (selected
 //                     variant, its register tile and tile grid, supported
 //                     variants) and exit
+//   Switches (--resume, --quiet, ...) take no value or one of
+//   true|1|yes|false|0|no; any other value fails at startup.
 //   --worker-cell     hidden: become a dispatch worker (protocol over the
 //                     socketpair on stdin, see exp/dispatch.hpp); used by
 //                     --dispatch=process to self-exec this binary

@@ -65,10 +65,10 @@ void Conv2d::forward(const Shape3& in, std::span<const float> params, const Tens
                                    static_cast<std::size_t>(out_channels_));
 
   auto& pool = ParallelExecutor::current();
-  pool.parallel_for(static_cast<std::size_t>(batch), [&](std::size_t bi, std::size_t) {
+  pool.parallel_for(static_cast<std::size_t>(batch), [&](std::size_t bi) {
     const auto b = static_cast<std::int64_t>(bi);
     // Thread-local arena scratch: reused across batches, layers and calls
-    // (the nested GEMM's pack buffers are separate arena slots).
+    // (the nested GEMM's pack buffers are separate arena buffers).
     auto my_columns = ScratchArena::buffer(
         ScratchArena::kConvColumns, static_cast<std::size_t>(col_rows * col_cols));
     im2col(x.row(b), g, my_columns);

@@ -20,7 +20,7 @@ void for_each_chunk(std::size_t n, const Body& body) {
   if (n >= kParallelElementThreshold && !ParallelExecutor::in_parallel_region()) {
     const std::size_t chunks = (n + kChunkElements - 1) / kChunkElements;
     ParallelExecutor::current().parallel_for(
-        chunks, [&](std::size_t chunk, std::size_t) {
+        chunks, [&](std::size_t chunk) {
           const std::size_t begin = chunk * kChunkElements;
           body(begin, std::min(n, begin + kChunkElements));
         });

@@ -4,8 +4,10 @@
 
 #include <cmath>
 #include <numeric>
+#include <thread>
 
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 #include "core/aggregate.hpp"
 #include "core/metrics.hpp"
 #include "core/presets.hpp"
@@ -68,7 +70,6 @@ TEST(Trainer, ReducesLossOnShard) {
   const TinyWorld world;
   Rng rng(11);
   auto weights = world.network.init_weights(rng);
-  TrainScratch scratch;
   nn::Workspace ws;
 
   // Loss on the shard before and after 5 epochs.
@@ -79,7 +80,7 @@ TEST(Trainer, ReducesLossOnShard) {
   shard.gather(order, 0, shard.size(), bx, by);
   const float before = world.network.loss(weights, bx, by, ws);
   const auto outcome = train_local(world.network, weights, shard, 5, 10, 0.1f,
-                                   UpdateKind::kSgd, {}, rng, scratch);
+                                   UpdateKind::kSgd, {}, rng);
   const float after = world.network.loss(weights, bx, by, ws);
   EXPECT_LT(after, before);
   EXPECT_GT(outcome.steps, 0);
@@ -91,12 +92,11 @@ TEST(Trainer, ProxStaysCloserToAnchorThanPlainSgd) {
   const TinyWorld world;
   Rng rng(13);
   const auto anchor = world.network.init_weights(rng);
-  TrainScratch scratch;
 
   auto w_sgd = anchor;
   Rng r1(17);
   train_local(world.network, w_sgd, world.fed.shards[1], 8, 10, 0.1f, UpdateKind::kSgd,
-              {}, r1, scratch);
+              {}, r1);
 
   auto w_prox = anchor;
   UpdateExtras extras;
@@ -104,7 +104,7 @@ TEST(Trainer, ProxStaysCloserToAnchorThanPlainSgd) {
   extras.prox_mu = 1.0f;
   Rng r2(17);
   train_local(world.network, w_prox, world.fed.shards[1], 8, 10, 0.1f, UpdateKind::kProx,
-              extras, r2, scratch);
+              extras, r2);
 
   double d_sgd = 0.0;
   double d_prox = 0.0;
@@ -119,20 +119,19 @@ TEST(Trainer, ScaffoldZeroVariatesEqualsSgd) {
   const TinyWorld world;
   Rng rng(19);
   const auto init = world.network.init_weights(rng);
-  TrainScratch scratch;
   const std::vector<float> zeros(init.size(), 0.0f);
 
   auto w1 = init;
   Rng r1(23);
   train_local(world.network, w1, world.fed.shards[2], 3, 10, 0.1f, UpdateKind::kSgd, {},
-              r1, scratch);
+              r1);
   auto w2 = init;
   UpdateExtras extras;
   extras.c_local = zeros;
   extras.c_global = zeros;
   Rng r2(23);
   train_local(world.network, w2, world.fed.shards[2], 3, 10, 0.1f,
-              UpdateKind::kScaffold, extras, r2, scratch);
+              UpdateKind::kScaffold, extras, r2);
   for (std::size_t i = 0; i < w1.size(); ++i) ASSERT_FLOAT_EQ(w1[i], w2[i]);
 }
 
@@ -140,17 +139,62 @@ TEST(Trainer, DeterministicGivenRng) {
   const TinyWorld world;
   Rng rng(29);
   const auto init = world.network.init_weights(rng);
-  TrainScratch s1;
-  TrainScratch s2;
   auto w1 = init;
   auto w2 = init;
   Rng r1(31);
   Rng r2(31);
   train_local(world.network, w1, world.fed.shards[0], 4, 7, 0.05f, UpdateKind::kSgd, {},
-              r1, s1);
+              r1);
   train_local(world.network, w2, world.fed.shards[0], 4, 7, 0.05f, UpdateKind::kSgd, {},
-              r2, s2);
+              r2);
   EXPECT_EQ(w1, w2);
+}
+
+TEST(Trainer, ThreadLocalScratchCarriesNothingAcrossModels) {
+  // train_local and Network::accuracy keep their buffers thread-local, so
+  // they outlive one model and are reused by the next.  Train and evaluate an MLP, then the paper
+  // CNN (larger buffers, different shapes), then the MLP again on one
+  // thread: the last MLP run must match the same run on a fresh thread,
+  // whose scratch starts empty.
+  Rng rng(41);
+  data::SyntheticSpec mlp_spec = data::mnist_like();
+  mlp_spec.width = 16;
+  const auto mlp_data = data::generate(mlp_spec, 60, 50, rng);
+  const auto cnn_spec = data::cifar10_like();
+  const auto cnn_data = data::generate(cnn_spec, 60, 50, rng);
+  const auto mlp = nn::make_mlp(mlp_spec.sample_dim(), mlp_spec.n_classes, {32, 16});
+  const auto cnn = nn::make_cnn({cnn_spec.channels, cnn_spec.height, cnn_spec.width},
+                                cnn_spec.n_classes);
+  std::vector<std::int64_t> all(60);
+  std::iota(all.begin(), all.end(), 0);
+
+  struct Run {
+    std::vector<float> weights;
+    float accuracy = 0.0f;
+  };
+  const auto run = [&](const nn::Network& network, const data::SyntheticSplit& split) {
+    ParallelExecutor one(1);  // keep every kernel on the calling thread
+    ParallelExecutor::Bind bind(one);
+    Rng init(43);
+    Run out;
+    out.weights = network.init_weights(init);
+    const data::Shard shard(&split.train, all);
+    UpdateExtras extras;
+    extras.momentum = 0.9f;
+    Rng r(47);
+    train_local(network, out.weights, shard, 2, 10, 0.05f, UpdateKind::kSgd, extras, r);
+    out.accuracy = network.accuracy(out.weights, split.test.x,
+                                    std::span<const std::int32_t>(split.test.y), 16);
+    return out;
+  };
+
+  run(mlp, mlp_data);
+  run(cnn, cnn_data);
+  const Run reused = run(mlp, mlp_data);
+  Run fresh;
+  std::thread([&] { fresh = run(mlp, mlp_data); }).join();
+  EXPECT_EQ(reused.weights, fresh.weights);
+  EXPECT_EQ(reused.accuracy, fresh.accuracy);
 }
 
 TEST(Aggregate, UniformWeightsSumToOne) {
@@ -252,7 +296,6 @@ TEST(Metrics, RingCirculationReducesUploadDispersion) {
   // Independent local training from the same initialisation (FedAvg's round
   // without aggregation).
   Rng init(0x5A5A ^ opts.seed);
-  TrainScratch scratch;
   std::vector<std::vector<float>> locals(6);
   Rng init_rng(opts.seed ^ 0xA5A5A5A5ull);
   const auto start = world.network.init_weights(init_rng);
@@ -260,7 +303,7 @@ TEST(Metrics, RingCirculationReducesUploadDispersion) {
     locals[d] = start;
     Rng r(100 + d);
     train_local(world.network, locals[d], world.fed.shards[d], 8, 20, 0.1f,
-                UpdateKind::kSgd, {}, r, scratch);
+                UpdateKind::kSgd, {}, r);
   }
   std::vector<std::span<const float>> local_views;
   for (const auto& w : locals) local_views.emplace_back(w);

@@ -9,8 +9,10 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/flags.hpp"
 #include "common/parallel.hpp"
 #include "core/registry.hpp"
+#include "exp/driver.hpp"
 #include "exp/grid.hpp"
 #include "exp/scheduler.hpp"
 #include "exp/sinks.hpp"
@@ -301,6 +303,60 @@ TEST(Scheduler, TwoLevelThreadBudget) {
   EXPECT_EQ(scheduler.inner_threads(4), 2u);
   EXPECT_EQ(scheduler.inner_threads(8), 1u);
   EXPECT_EQ(scheduler.inner_threads(16), 1u);  // never zero
+}
+
+// ---------------------------------------------------------------- driver --
+
+/// The CheckError message of `fn`, or "" when it does not throw one.
+template <typename Fn>
+std::string check_failure(const Fn& fn) {
+  try {
+    fn();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Driver, NonPositiveThreadAndJobCountsFailNamingTheFlag) {
+  const std::size_t threads = ParallelExecutor::global().thread_count();
+  for (const std::string arg :
+       {"--threads=0", "--threads=-2", "--grid-jobs=0", "--grid-jobs=-1"}) {
+    const char* argv[] = {arg.c_str()};
+    const Flags flags = Flags::parse(1, argv);
+    const std::string name = arg.substr(0, arg.find('='));
+    EXPECT_NE(check_failure([&] { handle_grid_flags(flags); }).find(name),
+              std::string::npos)
+        << arg;
+  }
+  EXPECT_EQ(ParallelExecutor::global().thread_count(), threads);
+}
+
+TEST(Driver, ParticipationAndPartitionValuesParseStrictly) {
+  const char* good[] = {"--part=100,50", "--partition=iid,dir0.3"};
+  const Flags flags = Flags::parse(2, good);
+  EXPECT_EQ(participations_from_flags(flags, {}), (std::vector<double>{1.0, 0.5}));
+  const auto partitions = partitions_from_flags(flags, {});
+  ASSERT_EQ(partitions.size(), 2u);
+  EXPECT_TRUE(partitions[0].iid);
+  EXPECT_FALSE(partitions[1].iid);
+  EXPECT_DOUBLE_EQ(partitions[1].beta, 0.3);
+
+  // Out of range (ERANGE), trailing junk, NaN and infinity all fail, naming
+  // the flag, instead of yielding an infinite Dirichlet beta or a prefix.
+  for (const std::string arg :
+       {"--part=1e999", "--part=50x", "--part=0", "--part=nan", "--part=inf",
+        "--partition=dir1e999", "--partition=dirinf", "--partition=dirnan",
+        "--partition=dir0", "--partition=dir", "--partition=dir0.3x"}) {
+    const char* argv[] = {arg.c_str()};
+    const Flags bad = Flags::parse(1, argv);
+    const std::string name = arg.substr(0, arg.find('='));
+    const std::string message = check_failure([&] {
+      participations_from_flags(bad, {});
+      partitions_from_flags(bad, {});
+    });
+    EXPECT_NE(message.find(name), std::string::npos) << arg << ": " << message;
+  }
 }
 
 // ----------------------------------------------------------------- sinks --

@@ -43,6 +43,29 @@ TEST(Flags, BooleanSwitches) {
   EXPECT_TRUE(flags.get_bool("cnn"));
   EXPECT_FALSE(flags.get_bool("verbose", true));
   EXPECT_FALSE(flags.get_bool("absent", false));
+
+  const char* spelled[] = {"--a=yes", "--b=1", "--c=no", "--d=0"};
+  const auto words = Flags::parse(4, spelled);
+  EXPECT_TRUE(words.get_bool("a"));
+  EXPECT_TRUE(words.get_bool("b"));
+  EXPECT_FALSE(words.get_bool("c", true));
+  EXPECT_FALSE(words.get_bool("d", true));
+
+  // Any other value check-fails, naming the flag: a typo ("ture") and a
+  // switch that swallowed the next token as its value (`--resume
+  // results.jsonl` used to read as false and silently skip resuming).
+  const char* bad[] = {"--quiet=ture", "--resume", "results.jsonl"};
+  const auto typos = Flags::parse(3, bad);
+  for (const char* key : {"quiet", "resume"}) {
+    try {
+      typos.get_bool(key);
+      FAIL() << "expected CheckError for --" << key;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + key + "='"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Flags, PositionalAndFallbacks) {
@@ -156,16 +179,14 @@ TEST(Momentum, ZeroMomentumMatchesPlainSgdInTrainer) {
   Rng wr(5);
   const auto init = net.init_weights(wr);
 
-  core::TrainScratch s1;
-  core::TrainScratch s2;
   auto w1 = init;
   auto w2 = init;
   Rng r1(7);
   Rng r2(7);
-  core::train_local(net, w1, shard, 3, 5, 0.1f, core::UpdateKind::kSgd, {}, r1, s1);
+  core::train_local(net, w1, shard, 3, 5, 0.1f, core::UpdateKind::kSgd, {}, r1);
   core::UpdateExtras extras;
   extras.momentum = 0.0f;
-  core::train_local(net, w2, shard, 3, 5, 0.1f, core::UpdateKind::kSgd, extras, r2, s2);
+  core::train_local(net, w2, shard, 3, 5, 0.1f, core::UpdateKind::kSgd, extras, r2);
   EXPECT_EQ(w1, w2);
 }
 
@@ -187,13 +208,12 @@ TEST(Momentum, AcceleratesDescentOnQuadraticBowl) {
   const auto init = net.init_weights(wr);
 
   auto run = [&](float momentum) {
-    core::TrainScratch scratch;
     auto weights = init;
     Rng r(13);
     core::UpdateExtras extras;
     extras.momentum = momentum;
     const auto outcome = core::train_local(net, weights, shard, 4, 25, 0.02f,
-                                           core::UpdateKind::kSgd, extras, r, scratch);
+                                           core::UpdateKind::kSgd, extras, r);
     return outcome.mean_loss;
   };
   EXPECT_LT(run(0.9f), run(0.0f));

@@ -240,7 +240,7 @@ TEST(Network, AccuracyPerfectOnMemorisedData) {
     net.loss_and_grad(weights, x, y, grad, ws);
     sgd_step(weights, grad, 0.2f);
   }
-  EXPECT_GT(net.accuracy(weights, x, y, ws, /*batch=*/5), 0.95f);
+  EXPECT_GT(net.accuracy(weights, x, y, /*batch=*/5), 0.95f);
 }
 
 TEST(Network, LossMatchesLossAndGradValue) {
@@ -263,11 +263,10 @@ TEST(Network, AccuracyChunkingInvariant) {
   Rng rng(97);
   const auto weights = net.init_weights(rng);
   const Problem p = make_problem(net, 23, rng);
-  Workspace ws;
-  const float a1 = net.accuracy(weights, p.x, p.y, ws, 1);
-  const float a7 = net.accuracy(weights, p.x, p.y, ws, 7);
-  const float a23 = net.accuracy(weights, p.x, p.y, ws, 23);
-  const float a100 = net.accuracy(weights, p.x, p.y, ws, 100);
+  const float a1 = net.accuracy(weights, p.x, p.y, 1);
+  const float a7 = net.accuracy(weights, p.x, p.y, 7);
+  const float a23 = net.accuracy(weights, p.x, p.y, 23);
+  const float a100 = net.accuracy(weights, p.x, p.y, 100);
   EXPECT_FLOAT_EQ(a1, a7);
   EXPECT_FLOAT_EQ(a7, a23);
   EXPECT_FLOAT_EQ(a23, a100);

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
@@ -24,16 +25,18 @@ namespace {
 TEST(ParallelExecutor, EmptyRangeNeverInvokesBody) {
   ParallelExecutor pool(4);
   std::atomic<int> calls{0};
-  pool.parallel_for(0, [&](std::size_t, std::size_t) { ++calls; });
+  pool.parallel_for(0, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
 }
 
 TEST(ParallelExecutor, SingleItemRunsInlineOnCaller) {
   ParallelExecutor pool(4);
   std::atomic<int> calls{0};
-  pool.parallel_for(1, [&](std::size_t i, std::size_t slot) {
+  const auto caller = std::this_thread::get_id();
+  pool.parallel_for(1, [&](std::size_t i) {
     EXPECT_EQ(i, 0u);
-    EXPECT_EQ(slot, 0u);  // n == 1 short-circuits to the calling thread
+    // n == 1 short-circuits to the calling thread.
+    EXPECT_EQ(std::this_thread::get_id(), caller);
     ++calls;
   });
   EXPECT_EQ(calls.load(), 1);
@@ -43,10 +46,7 @@ TEST(ParallelExecutor, EveryIndexRunsExactlyOnce) {
   ParallelExecutor pool(4);
   constexpr std::size_t kN = 10000;
   std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for(kN, [&](std::size_t i, std::size_t slot) {
-    ASSERT_LT(slot, pool.thread_count());
-    ++hits[i];
-  });
+  pool.parallel_for(kN, [&](std::size_t i) { ++hits[i]; });
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -55,12 +55,13 @@ TEST(ParallelExecutor, EveryIndexRunsExactlyOnce) {
 TEST(ParallelExecutor, NestedParallelForRunsInlineWithoutDeadlock) {
   ParallelExecutor pool(4);
   std::atomic<int> inner_calls{0};
-  pool.parallel_for(8, [&](std::size_t, std::size_t outer_slot) {
+  pool.parallel_for(8, [&](std::size_t) {
     EXPECT_TRUE(ParallelExecutor::in_parallel_region());
-    // Re-entering the same pool must execute inline on this thread, keeping
-    // the outer slot (per-slot scratch stays valid).
-    pool.parallel_for(8, [&](std::size_t, std::size_t inner_slot) {
-      EXPECT_EQ(inner_slot, outer_slot);
+    // Re-entering the same pool must execute inline on this thread, so the
+    // outer body's thread-local scratch is the inner body's too.
+    const auto outer_thread = std::this_thread::get_id();
+    pool.parallel_for(8, [&](std::size_t) {
+      EXPECT_EQ(std::this_thread::get_id(), outer_thread);
       ++inner_calls;
     });
   });
@@ -70,13 +71,13 @@ TEST(ParallelExecutor, NestedParallelForRunsInlineWithoutDeadlock) {
 TEST(ParallelExecutor, BodyExceptionPropagatesToCaller) {
   ParallelExecutor pool(4);
   EXPECT_THROW(pool.parallel_for(100,
-                                 [&](std::size_t i, std::size_t) {
+                                 [&](std::size_t i) {
                                    if (i == 37) throw std::runtime_error("boom");
                                  }),
                std::runtime_error);
   // The pool must survive the exception and run the next job normally.
   std::atomic<int> calls{0};
-  pool.parallel_for(10, [&](std::size_t, std::size_t) { ++calls; });
+  pool.parallel_for(10, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 10);
 }
 
@@ -88,8 +89,9 @@ TEST(ParallelExecutor, SetThreadCountResizesAndClampsToOne) {
   pool.set_thread_count(0);
   EXPECT_EQ(pool.thread_count(), 1u);
   std::atomic<int> calls{0};
-  pool.parallel_for(16, [&](std::size_t, std::size_t slot) {
-    EXPECT_EQ(slot, 0u);
+  const auto caller = std::this_thread::get_id();
+  pool.parallel_for(16, [&](std::size_t) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);  // no workers left
     ++calls;
   });
   EXPECT_EQ(calls.load(), 16);
@@ -102,7 +104,7 @@ TEST(ParallelExecutor, ResizeAfterUseRunsNextJobExactlyOnce) {
   for (const std::size_t threads : {3u, 1u, 4u, 2u}) {
     constexpr std::size_t kN = 500;
     std::vector<std::atomic<int>> hits(kN);
-    pool.parallel_for(kN, [&](std::size_t i, std::size_t) { ++hits[i]; });
+    pool.parallel_for(kN, [&](std::size_t i) { ++hits[i]; });
     for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1);
     pool.set_thread_count(threads);
   }
@@ -114,12 +116,12 @@ TEST(ParallelExecutor, InlineBodyExceptionRestoresParallelRegionFlag) {
   // serialise every later loop on it.
   ParallelExecutor pool(1);  // workers_.empty() forces the inline path
   EXPECT_THROW(pool.parallel_for(
-                   4, [](std::size_t, std::size_t) { throw std::runtime_error("boom"); }),
+                   4, [](std::size_t) { throw std::runtime_error("boom"); }),
                std::runtime_error);
   EXPECT_FALSE(ParallelExecutor::in_parallel_region());
   ParallelExecutor wide(4);
   EXPECT_THROW(wide.parallel_for(
-                   1, [](std::size_t, std::size_t) { throw std::runtime_error("boom"); }),
+                   1, [](std::size_t) { throw std::runtime_error("boom"); }),
                std::runtime_error);
   EXPECT_FALSE(ParallelExecutor::in_parallel_region());
 }
@@ -277,10 +279,8 @@ TEST(ParallelDeterminism, ShardedTestEvaluationIsBitIdentical) {
   const auto& test = world->fed.test;
   const auto eval = [&](std::size_t threads) {
     ParallelExecutor::global().set_thread_count(threads);
-    nn::Workspace ws;
-    const float accuracy =
-        world->network->accuracy(weights, test.x, std::span<const std::int32_t>(test.y),
-                                 ws, /*batch=*/7);
+    const float accuracy = world->network->accuracy(
+        weights, test.x, std::span<const std::int32_t>(test.y), /*batch=*/7);
     ParallelExecutor::global().set_thread_count(ParallelExecutor::threads_from_env());
     return accuracy;
   };
@@ -288,9 +288,8 @@ TEST(ParallelDeterminism, ShardedTestEvaluationIsBitIdentical) {
   const float parallel = eval(4);
   ASSERT_EQ(serial, parallel);
   // And the chunked result matches a whole-set forward pass.
-  nn::Workspace ws;
   const float one_chunk = world->network->accuracy(
-      weights, test.x, std::span<const std::int32_t>(test.y), ws, /*batch=*/1024);
+      weights, test.x, std::span<const std::int32_t>(test.y), /*batch=*/1024);
   ASSERT_EQ(serial, one_chunk);
 }
 

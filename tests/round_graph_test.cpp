@@ -32,7 +32,7 @@ using core::RoundJob;
 // Cheap deterministic stand-in for local training: a pure function of
 // (device, stream, model bytes), like the real train_local.
 RoundGraphExecutor::TrainFn fake_train() {
-  return [](const RoundJob& job, std::vector<float>& model, std::size_t) {
+  return [](const RoundJob& job, std::vector<float>& model) {
     for (std::size_t i = 0; i < model.size(); ++i) {
       const auto salt = static_cast<float>((job.stream >> (i % 24)) & 0xFu);
       model[i] = 0.5f * model[i] + salt + static_cast<float>(job.device + 1);
@@ -144,7 +144,7 @@ TEST(RoundGraphExecutor, TwoInputJobsAverageBeforeTraining) {
     ParallelExecutor::Bind bind(pool);
     const RoundGraphExecutor executor(mode);
     executor.run(graph,
-                 [](const RoundJob&, std::vector<float>& model, std::size_t) {
+                 [](const RoundJob&, std::vector<float>& model) {
                    for (auto& x : model) x += 1.0f;
                  },
                  nullptr);
