@@ -17,10 +17,11 @@
 #include "exp/scheduler.hpp"
 #include "exp/sinks.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const fedhisyn::Flags& flags,
+        const fedhisyn::exp::GridDriverOptions& grid_options) {
   using namespace fedhisyn;
-  const auto flags = Flags::parse(argc - 1, argv + 1);
-  const auto grid_options = exp::handle_grid_flags(flags);
   const bool full = full_scale_enabled();
 
   exp::ExperimentGrid grid;
@@ -50,3 +51,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return fedhisyn::exp::run_driver(argc, argv, run); }

@@ -64,12 +64,10 @@ double run_backend(const std::vector<fedhisyn::exp::ExperimentSpec>& specs,
   return run_backend(specs, std::move(options), repeat);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+// Reached through run_driver, which has applied --worker-cell / --threads /
+// --list-methods; the sweeps below set their own backends.
+int run(const fedhisyn::Flags& flags, const fedhisyn::exp::GridDriverOptions&) {
   using namespace fedhisyn;
-  const auto flags = Flags::parse(argc - 1, argv + 1);
-  exp::handle_grid_flags(flags);  // --worker-cell / --threads / --list-methods
   // The sweeps below use many distinct builds; keep the workers' per-build
   // cache log lines out of the bench output.
   ::setenv("FEDHISYN_QUIET", "1", /*overwrite=*/1);
@@ -218,3 +216,7 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return fedhisyn::exp::run_driver(argc, argv, run); }

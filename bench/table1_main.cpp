@@ -37,10 +37,11 @@
 #include "exp/scheduler.hpp"
 #include "exp/sinks.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const fedhisyn::Flags& flags,
+        const fedhisyn::exp::GridDriverOptions& grid_options) {
   using namespace fedhisyn;
-  const auto flags = Flags::parse(argc - 1, argv + 1);
-  const auto grid_options = exp::handle_grid_flags(flags);
   const bool full = full_scale_enabled();
 
   const auto& methods = core::table1_methods();
@@ -98,14 +99,16 @@ int main(int argc, char** argv) {
   }
   table.print();
   table.maybe_write_csv("table1");
-  exp::GridScheduler::Options budget_options;
-  budget_options.jobs = grid_options.grid_jobs;
-  const exp::GridScheduler budget(std::move(budget_options));
+  const exp::GridScheduler budget(grid_options.scheduler);
+  const std::size_t jobs = budget.resolved_jobs(cells.size());
   std::printf("grid: %zu cells, %zu jobs x %zu threads, %.1fs wall\n", cells.size(),
-              budget.resolved_jobs(cells.size()),
-              budget.inner_threads(budget.resolved_jobs(cells.size())), elapsed);
+              jobs, budget.inner_threads(jobs), elapsed);
   if (!grid_options.out.empty()) {
     std::printf("results written to %s\n", grid_options.out.c_str());
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return fedhisyn::exp::run_driver(argc, argv, run); }

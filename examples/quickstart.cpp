@@ -19,10 +19,11 @@
 #include "exp/scheduler.hpp"
 #include "exp/sinks.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const fedhisyn::Flags&,
+        const fedhisyn::exp::GridDriverOptions& grid_options) {
   using namespace fedhisyn;
-  const auto flags = Flags::parse(argc - 1, argv + 1);
-  const auto grid_options = exp::handle_grid_flags(flags);
 
   // 1. Describe the experiment once: synthetic MNIST stand-in, Dirichlet(0.3)
   //    label skew, fleet with 5..50 achievable epochs per round, the paper's
@@ -62,3 +63,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return fedhisyn::exp::run_driver(argc, argv, run); }

@@ -3,6 +3,7 @@
 #include <new>
 #include <stdexcept>
 
+#include "common/check.hpp"
 #include "common/env.hpp"
 #include "common/trace.hpp"
 
@@ -187,10 +188,11 @@ void ParallelExecutor::parallel_for(std::size_t n, const Body& body) {
 bool ParallelExecutor::in_parallel_region() { return tl_in_parallel; }
 
 std::size_t ParallelExecutor::threads_from_env() {
-  const long from_env = env_long("FEDHISYN_THREADS", 0);
-  if (from_env > 0) return static_cast<std::size_t>(from_env);
   const unsigned hardware = std::thread::hardware_concurrency();
-  return hardware > 0 ? hardware : 1;
+  const long threads = env_long("FEDHISYN_THREADS", hardware > 0 ? hardware : 1);
+  FEDHISYN_CHECK_MSG(threads > 0,
+                     "FEDHISYN_THREADS takes a positive thread count, got " << threads);
+  return static_cast<std::size_t>(threads);
 }
 
 ParallelExecutor& ParallelExecutor::global() {

@@ -93,8 +93,9 @@ class ParallelExecutor {
   /// by kernels to decide against re-dispatching).
   static bool in_parallel_region();
 
-  /// FEDHISYN_THREADS if set to a positive integer, else hardware
-  /// concurrency, else 1.
+  /// FEDHISYN_THREADS when set, else hardware concurrency (else 1).  A set
+  /// value must be a positive integer, as for --threads; anything else
+  /// check-fails, naming the variable.
   static std::size_t threads_from_env();
 
   /// The process-wide pool used by the library's kernels and algorithms.

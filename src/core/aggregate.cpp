@@ -5,6 +5,23 @@
 
 namespace fedhisyn::core {
 
+const char* aggregation_name(AggregationRule rule) {
+  switch (rule) {
+    case AggregationRule::kUniform: return "uniform";
+    case AggregationRule::kTimeWeighted: return "time";
+    case AggregationRule::kSampleWeighted: return "sample";
+  }
+  return "?";
+}
+
+AggregationRule aggregation_from_name(const std::string& name) {
+  if (name == "uniform") return AggregationRule::kUniform;
+  if (name == "time") return AggregationRule::kTimeWeighted;
+  if (name == "sample") return AggregationRule::kSampleWeighted;
+  FEDHISYN_CHECK_MSG(false,
+                     "unknown aggregation rule '" << name << "' (uniform|time|sample)");
+}
+
 void aggregate_models(std::span<const std::span<const float>> models,
                       std::span<const double> weights, std::span<float> out) {
   FEDHISYN_CHECK(models.size() == weights.size());

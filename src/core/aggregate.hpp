@@ -3,11 +3,17 @@
 #pragma once
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/options.hpp"
 
 namespace fedhisyn::core {
+
+/// The rule's spec/CLI name: "uniform" | "time" | "sample".
+const char* aggregation_name(AggregationRule rule);
+/// Inverse of aggregation_name; check-fails on any other name.
+AggregationRule aggregation_from_name(const std::string& name);
 
 /// out = sum_i weights[i] * models[i]; weights must sum to ~1.
 void aggregate_models(std::span<const std::span<const float>> models,

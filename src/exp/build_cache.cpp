@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/check.hpp"
 #include "common/counters.hpp"
 #include "common/env.hpp"
 #include "common/trace.hpp"
@@ -43,9 +44,13 @@ std::size_t BuildCache::default_budget_bytes() {
 }
 
 std::size_t BuildCache::budget_bytes_from_env() {
-  const double mb = env_double("FEDHISYN_BUILD_CACHE_MB", -1.0);
-  if (mb < 0.0) return default_budget_bytes();
-  return static_cast<std::size_t>(mb * 1024.0 * 1024.0);
+  constexpr double kMiB = 1024.0 * 1024.0;
+  const double mb = env_double("FEDHISYN_BUILD_CACHE_MB",
+                               static_cast<double>(default_budget_bytes()) / kMiB);
+  FEDHISYN_CHECK_MSG(mb >= 0.0,
+                     "FEDHISYN_BUILD_CACHE_MB takes a byte budget in MiB (0 disables "
+                     "build caching), got " << mb);
+  return static_cast<std::size_t>(mb * kMiB);
 }
 
 void BuildCache::log_line(const char* what, const std::string& key,

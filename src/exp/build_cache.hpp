@@ -85,7 +85,8 @@ class BuildCache {
   std::size_t max_bytes() const { return config_.max_bytes; }
 
   /// FEDHISYN_BUILD_CACHE_MB in (possibly fractional) MiB: 0 disables,
-  /// unset/negative/garbage falls back to default_budget_bytes().
+  /// unset or empty means default_budget_bytes(); a negative or non-numeric
+  /// value check-fails, naming the variable.
   static std::size_t budget_bytes_from_env();
 
   /// The default budget: 512 MiB, comfortably above the ~300 MB the full

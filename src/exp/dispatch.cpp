@@ -406,7 +406,7 @@ class WorkerLink {
   std::unique_ptr<Subprocess> child_;
 };
 
-/// Everything the dispatch loop needs, resolved from Dispatcher::Options.
+/// Everything the dispatch loop needs, resolved from GridScheduler::Options.
 struct DispatchConfig {
   std::size_t slots = 1;
   int max_attempts = 3;
@@ -770,7 +770,9 @@ int serve_main(const std::string& bind_spec) {
 
 int max_attempts_from_env() {
   const long retries = env_long("FEDHISYN_WORKER_RETRIES", 2);
-  return retries >= 0 ? static_cast<int>(retries) + 1 : 3;
+  FEDHISYN_CHECK_MSG(retries >= 0,
+                     "FEDHISYN_WORKER_RETRIES takes a retry count >= 0, got " << retries);
+  return static_cast<int>(retries) + 1;
 }
 
 std::vector<net::HostPort> worker_endpoints(const std::string& list) {
@@ -780,29 +782,30 @@ std::vector<net::HostPort> worker_endpoints(const std::string& list) {
   return net::parse_host_list(list, "127.0.0.1");
 }
 
-Dispatcher::Dispatcher(Options options) : options_(std::move(options)) {}
-
-std::vector<CellResult> Dispatcher::run(const std::vector<ExperimentSpec>& specs) const {
+std::vector<CellResult> run_on_workers(const GridScheduler::Options& options,
+                                       std::size_t jobs, std::size_t threads_per_worker,
+                                       const std::vector<ExperimentSpec>& specs) {
   const std::size_t n = specs.size();
   if (n == 0) return {};
 
-  const std::vector<net::HostPort>& hosts = options_.hosts;
-  const bool local = hosts.empty();
-  std::string binary = options_.worker_binary;
+  const bool local = options.backend != CellBackend::kTcp;
+  const std::vector<net::HostPort> hosts =
+      local ? std::vector<net::HostPort>{} : worker_endpoints(options.worker_hosts);
+  std::string binary = options.worker_binary;
   if (local && binary.empty()) binary = current_executable_path();
   std::vector<std::string> env;
-  if (options_.threads_per_worker > 0) {
-    env.push_back("FEDHISYN_THREADS=" + std::to_string(options_.threads_per_worker));
+  if (threads_per_worker > 0) {
+    env.push_back("FEDHISYN_THREADS=" + std::to_string(threads_per_worker));
   }
 
   DispatchConfig config;
-  config.slots = std::clamp<std::size_t>(local ? options_.workers : hosts.size(), 1, n);
+  config.slots = std::clamp<std::size_t>(local ? jobs : hosts.size(), 1, n);
   config.max_attempts =
-      options_.max_attempts > 0 ? options_.max_attempts : max_attempts_from_env();
+      options.max_attempts > 0 ? options.max_attempts : max_attempts_from_env();
   config.cell_timeout_s =
-      options_.cell_timeout_s < 0 ? cell_timeout_from_env() : options_.cell_timeout_s;
+      options.cell_timeout_s < 0 ? cell_timeout_from_env() : options.cell_timeout_s;
   if (config.cell_timeout_s > 0) config.hello_grace_s = config.cell_timeout_s;
-  config.on_cell = options_.on_cell;
+  config.on_cell = options.on_cell;
 
   // A local slot (re)spawns its child on every open.  A remote slot's first
   // connect retries until the budget elapses (the worker may still be
@@ -818,7 +821,7 @@ std::vector<CellResult> Dispatcher::run(const std::vector<ExperimentSpec>& specs
     const std::string endpoint = host.host + ":" + std::to_string(host.port);
     const bool keep_trying = first_connect[s] != 0;
     first_connect[s] = 0;
-    const net::Deadline budget = net::Deadline::after(options_.connect_timeout_s);
+    const net::Deadline budget = net::Deadline::after(options.connect_timeout_s);
     for (;;) {
       const int fd = net::tcp_connect(host.host, host.port, budget);
       if (fd >= 0) return std::make_unique<WorkerLink>(fd, endpoint);

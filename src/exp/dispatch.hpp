@@ -1,7 +1,8 @@
 // Process- and host-level grid dispatch: crash-isolated worker pools behind
 // GridScheduler's CellBackend seam (--dispatch=process|tcp).
 //
-// One Dispatcher, one worker link: every worker is a stream socket that
+// One dispatch loop, one worker link: GridScheduler::run hands its own
+// Options to run_on_workers, and every worker is a stream socket that
 // carries the same newline-JSON protocol.  Local workers (--dispatch
 // process): the parent self-execs the current binary in a hidden
 // `--worker-cell` mode (every grid driver reaches it through
@@ -63,7 +64,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -77,54 +77,24 @@ namespace fedhisyn::exp {
 double cell_timeout_from_env();
 
 /// 1 + FEDHISYN_WORKER_RETRIES (retries default 2, so 3 total tries); a
-/// negative env value falls back to the default.
+/// negative value check-fails, naming the variable.
 int max_attempts_from_env();
 
 /// Remote worker endpoints: `list` ("host:port,..." — the --workers value)
 /// parsed by net::parse_host_list.  Check-fails when `list` is empty.
 std::vector<net::HostPort> worker_endpoints(const std::string& list);
 
-class Dispatcher {
- public:
-  struct Options {
-    /// Local worker processes when `hosts` is empty (clamped to the number
-    /// of cells).  A child that dies is respawned.
-    std::size_t workers = 1;
-    /// FEDHISYN_THREADS handed to each local worker; 0 = inherit the
-    /// parent's env.
-    std::size_t threads_per_worker = 0;
-    /// Binary to self-exec for local workers; empty =
-    /// current_executable_path().
-    std::string worker_binary;
-    /// Remote `--serve` workers, one slot each; non-empty replaces the
-    /// local pool.  A host that cannot be reached is retired.
-    std::vector<net::HostPort> hosts;
-    /// Total tries per cell before the sweep fails; 0 resolves
-    /// max_attempts_from_env().
-    int max_attempts = 0;
-    /// Per-cell deadline in seconds; < 0 resolves FEDHISYN_CELL_TIMEOUT_S,
-    /// 0 disables.  A worker past the deadline is cut off and the cell
-    /// retried under the same accounting as a crash.
-    double cell_timeout_s = -1.0;
-    /// Remote hosts only: initial connects are retried until this budget
-    /// elapses (workers may still be starting); a *re*connect after a death
-    /// gets one try — a host that died mid-sweep is retired, its cells
-    /// reassigned.
-    double connect_timeout_s = 10.0;
-    /// Per-finished-cell callback, (done, total, cell), completion order.
-    std::function<void(std::size_t, std::size_t, const CellResult&)> on_cell;
-  };
-
-  explicit Dispatcher(Options options);
-
-  /// Run every spec on the worker pool; results[i] corresponds to specs[i].
-  /// Check-fails when no worker can be reached at all, or when every worker
-  /// dies with cells still outstanding.
-  std::vector<CellResult> run(const std::vector<ExperimentSpec>& specs) const;
-
- private:
-  Options options_;
-};
+/// The process and tcp backends of GridScheduler::run: run every spec on a
+/// worker pool, results[i] corresponding to specs[i].  kProcess spawns
+/// `jobs` local workers (clamped to the number of cells) with
+/// FEDHISYN_THREADS=`threads_per_worker` (0 = inherit the parent's env);
+/// kTcp opens one slot per `options.worker_hosts` endpoint.  Retries,
+/// deadlines and connect budgets follow `options` (see GridScheduler::Options).
+/// Check-fails when no worker can be reached at all, or when every worker
+/// dies with cells still outstanding.
+std::vector<CellResult> run_on_workers(const GridScheduler::Options& options,
+                                       std::size_t jobs, std::size_t threads_per_worker,
+                                       const std::vector<ExperimentSpec>& specs);
 
 /// Entry point of the hidden --worker-cell mode: send the hello line, then
 /// read spec lines from stdin, run each cell and answer with one result line

@@ -89,21 +89,23 @@ GridDriverOptions handle_grid_flags(const Flags& flags) {
     ParallelExecutor::global().set_thread_count(static_cast<std::size_t>(threads));
   }
   GridDriverOptions options;
+  GridScheduler::Options& scheduler = options.scheduler;
   const long jobs = flags.get_long("grid-jobs", 1);
   FEDHISYN_CHECK_MSG(jobs > 0, "--grid-jobs takes a positive cell count, got " << jobs);
-  options.grid_jobs = static_cast<std::size_t>(jobs);
+  scheduler.jobs = static_cast<std::size_t>(jobs);
   options.out = flags.get("out", "");
   if (flags.has("dispatch")) {
     const std::string mode = flags.get("dispatch", "thread");
     FEDHISYN_CHECK_MSG(mode == "thread" || mode == "process" || mode == "tcp",
                        "--dispatch takes thread|process|tcp, got '" << mode << "'");
-    options.dispatch = mode == "process" ? CellBackend::kProcess
-                       : mode == "tcp"   ? CellBackend::kTcp
-                                         : CellBackend::kThread;
+    scheduler.backend = mode == "process" ? CellBackend::kProcess
+                        : mode == "tcp"   ? CellBackend::kTcp
+                                          : CellBackend::kThread;
   }
-  options.workers = flags.get("workers", "");
-  FEDHISYN_CHECK_MSG(options.workers.empty() || options.dispatch == CellBackend::kTcp,
-                     "--workers only makes sense with --dispatch tcp");
+  scheduler.worker_hosts = flags.get("workers", "");
+  FEDHISYN_CHECK_MSG(
+      scheduler.worker_hosts.empty() || scheduler.backend == CellBackend::kTcp,
+      "--workers only makes sense with --dispatch tcp");
   options.resume = flags.get_bool("resume");
   options.quiet = flags.get_bool("quiet");
   // Tracing resolves after the worker branches on purpose: a --serve /
@@ -113,6 +115,17 @@ GridDriverOptions handle_grid_flags(const Flags& flags) {
   if (!options.trace_out.empty()) trace::set_enabled(true);
   options.metrics_out = flags.get("metrics-out", "");
   return options;
+}
+
+int run_driver(int argc, char** argv,
+               int (*body)(const Flags& flags, const GridDriverOptions& options)) {
+  try {
+    const Flags flags = Flags::parse(argc - 1, argv + 1);
+    return body(flags, handle_grid_flags(flags));
+  } catch (const CheckError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }
 
 std::vector<CellResult> run_grid(const std::vector<ExperimentSpec>& specs,
@@ -171,10 +184,7 @@ std::vector<CellResult> run_grid(const std::vector<ExperimentSpec>& specs,
 
   if (!pending_specs.empty()) {
     const double start = trace::clock_seconds();
-    GridScheduler::Options sched;
-    sched.jobs = options.grid_jobs;
-    sched.backend = options.dispatch;
-    sched.worker_hosts = options.workers;
+    GridScheduler::Options sched = options.scheduler;
     // Serialised by the scheduler (both backends), so the append-order in
     // the streaming sink is completion order; the final rewrite below
     // restores spec order.

@@ -74,14 +74,11 @@
 namespace fedhisyn::exp {
 
 struct GridDriverOptions {
-  std::size_t grid_jobs = 1;
+  /// How cells run: --grid-jobs, --dispatch and --workers land here
+  /// (run_grid installs its own progress `on_cell`).
+  GridScheduler::Options scheduler;
   /// Empty = no results file.
   std::string out;
-  /// Cell execution backend (--dispatch).
-  CellBackend dispatch = CellBackend::kThread;
-  /// Comma-separated remote worker endpoints for the tcp backend
-  /// (--workers).
-  std::string workers;
   /// Skip cells whose spec key already sits in the --out JSONL.
   bool resume = false;
   /// Suppress the per-cell progress lines on stderr.
@@ -97,10 +94,18 @@ struct GridDriverOptions {
 /// --build-cache-mb / --gemm-kernel to their env vars (before the worker
 /// branches, so workers see them; --gemm-kernel is validated immediately),
 /// enter the hidden --worker-cell mode when requested, resize the global
-/// pool for --threads, resolve --grid-jobs / --dispatch / --resume /
-/// --quiet, capture --out, and handle --list-methods / --gemm-info (print
-/// and exit).
+/// pool for --threads, resolve --grid-jobs / --dispatch / --workers /
+/// --resume / --quiet, capture --out, and handle --list-methods /
+/// --gemm-info (print and exit).
 GridDriverOptions handle_grid_flags(const Flags& flags);
+
+/// The shared main of the grid drivers: parse argv, apply
+/// handle_grid_flags, then return `body(flags, options)`.  A CheckError from
+/// any of it — a bad flag or env value, an unknown method, a failed sweep —
+/// prints one "error: <what>" line on stderr and returns 1 instead of
+/// aborting.
+int run_driver(int argc, char** argv,
+               int (*body)(const Flags& flags, const GridDriverOptions& options));
 
 /// Run a grid the standard way: honour --resume (scan `options.out` for
 /// finished cells and run only the rest), stream each finished cell's JSONL

@@ -71,17 +71,7 @@ std::vector<CellResult> GridScheduler::run(
     // worker's own FEDHISYN_THREADS).  Collection stays in spec order, so
     // every backend emits byte-identical results.
     const std::size_t jobs = resolved_jobs(specs.size());
-    Dispatcher::Options dispatch;
-    dispatch.workers = jobs;
-    dispatch.threads_per_worker = inner_threads(jobs);
-    dispatch.worker_binary = options_.worker_binary;
-    if (options_.backend == CellBackend::kTcp) {
-      dispatch.hosts = worker_endpoints(options_.worker_hosts);
-    }
-    dispatch.max_attempts = options_.max_attempts;
-    dispatch.cell_timeout_s = options_.cell_timeout_s;
-    dispatch.on_cell = options_.on_cell;
-    return Dispatcher(std::move(dispatch)).run(specs);
+    return run_on_workers(options_, jobs, inner_threads(jobs), specs);
   }
 
   BuildCache cache;

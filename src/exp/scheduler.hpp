@@ -100,25 +100,36 @@ enum class CellBackend { kThread, kProcess, kTcp };
 
 class GridScheduler {
  public:
+  /// The one set of run options: the grid drivers fill it from --grid-jobs,
+  /// --dispatch and --workers (exp::handle_grid_flags), and every backend
+  /// reads it directly — the process/tcp dispatch loop included.
   struct Options {
-    /// Concurrent cells (--grid-jobs); clamped to the number of cells.
+    /// Concurrent cells (--grid-jobs); clamped to the number of cells.  The
+    /// process backend runs this many local workers.
     std::size_t jobs = 1;
-    /// Thread budget split across the running cells; 0 = the global pool's
-    /// current size.
+    /// Thread budget split across the running cells (each process worker
+    /// gets its slice as FEDHISYN_THREADS); 0 = the global pool's current
+    /// size.
     std::size_t total_threads = 0;
     /// Cell execution backend (--dispatch).
     CellBackend backend = CellBackend::kThread;
     /// Process/tcp backends: tries per cell before the sweep fails (0
-    /// resolves 1 + FEDHISYN_WORKER_RETRIES).  Process backend: the binary
-    /// to self-exec (empty = the running binary).
+    /// resolves 1 + FEDHISYN_WORKER_RETRIES).
     int max_attempts = 0;
+    /// Process backend: the binary to self-exec (empty = the running binary).
     std::string worker_binary;
     /// Tcp backend: remote worker endpoints ("host:port,host:port,...", the
-    /// --workers value); check-fails when empty.
+    /// --workers value), one slot each; check-fails when empty.  A host that
+    /// cannot be reached is retired and its cells reassigned.
     std::string worker_hosts;
     /// Process/tcp backends: per-cell deadline in seconds; < 0 resolves
-    /// FEDHISYN_CELL_TIMEOUT_S, 0 disables.
+    /// FEDHISYN_CELL_TIMEOUT_S, 0 disables.  A worker past the deadline is
+    /// cut off and the cell retried under the same accounting as a crash.
     double cell_timeout_s = -1.0;
+    /// Tcp backend: initial connects are retried until this budget elapses
+    /// (workers may still be starting); a *re*connect after a death gets one
+    /// try.
+    double connect_timeout_s = 10.0;
     /// Progress callback, invoked once per finished cell (serialised, in
     /// completion order): (cells done, cells total, the cell).
     std::function<void(std::size_t, std::size_t, const CellResult&)> on_cell;

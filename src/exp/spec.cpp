@@ -5,6 +5,7 @@
 
 #include "common/check.hpp"
 #include "common/json.hpp"
+#include "core/aggregate.hpp"
 
 namespace fedhisyn::exp {
 
@@ -25,34 +26,11 @@ const char* fleet_name(core::FleetKind kind) {
   return "?";
 }
 
-const char* aggregation_name(core::AggregationRule rule) {
-  switch (rule) {
-    case core::AggregationRule::kUniform: return "uniform";
-    case core::AggregationRule::kTimeWeighted: return "time";
-    case core::AggregationRule::kSampleWeighted: return "sample";
-  }
-  return "?";
-}
-
 core::FleetKind fleet_from_name(const std::string& name) {
   if (name == "uniform") return core::FleetKind::kUniformEpochs;
   if (name == "homogeneous") return core::FleetKind::kHomogeneous;
   if (name == "ratio") return core::FleetKind::kRatio;
   FEDHISYN_CHECK_MSG(false, "unknown fleet kind '" << name << "' in spec JSON");
-}
-
-core::AggregationRule aggregation_from_name(const std::string& name) {
-  if (name == "uniform") return core::AggregationRule::kUniform;
-  if (name == "time") return core::AggregationRule::kTimeWeighted;
-  if (name == "sample") return core::AggregationRule::kSampleWeighted;
-  FEDHISYN_CHECK_MSG(false, "unknown aggregation rule '" << name << "' in spec JSON");
-}
-
-sim::RingOrder ring_order_from_name(const std::string& name) {
-  if (name == "random") return sim::RingOrder::kRandom;
-  if (name == "small-to-large") return sim::RingOrder::kSmallToLarge;
-  if (name == "large-to-small") return sim::RingOrder::kLargeToSmall;
-  FEDHISYN_CHECK_MSG(false, "unknown ring order '" << name << "' in spec JSON");
 }
 
 }  // namespace
@@ -108,7 +86,7 @@ std::string ExperimentSpec::to_key() const {
   out << build_key() << "|method=" << method << "|rounds=" << build.scale.rounds
       << "|lr=" << fmt_g(opts.lr) << "|batch=" << opts.batch_size
       << "|epochs=" << opts.local_epochs << "|p=" << fmt_g(opts.participation)
-      << "|K=" << opts.clusters << "|agg=" << aggregation_name(opts.aggregation)
+      << "|K=" << opts.clusters << "|agg=" << core::aggregation_name(opts.aggregation)
       << "|ring=" << sim::ring_order_name(opts.ring_order)
       << "|direct=" << (opts.direct_use ? 1 : 0) << "|mu=" << fmt_g(opts.prox_mu)
       << "|mom=" << fmt_g(opts.momentum) << "|alpha=" << fmt_g(opts.async_alpha)
@@ -140,7 +118,7 @@ std::string ExperimentSpec::to_json() const {
       << ",\"epochs\":" << opts.local_epochs
       << ",\"participation\":" << json::fmt_double(opts.participation)
       << ",\"clusters\":" << opts.clusters
-      << ",\"aggregation\":\"" << aggregation_name(opts.aggregation) << "\""
+      << ",\"aggregation\":\"" << core::aggregation_name(opts.aggregation) << "\""
       << ",\"ring\":\"" << sim::ring_order_name(opts.ring_order) << "\""
       << ",\"direct_use\":" << (opts.direct_use ? "true" : "false")
       << ",\"prox_mu\":" << json::fmt_float(opts.prox_mu)
@@ -192,8 +170,8 @@ ExperimentSpec ExperimentSpec::from_json(const json::Value& doc) {
   spec.opts.local_epochs = static_cast<int>(field("epochs").as_long());
   spec.opts.participation = field("participation").as_double();
   spec.opts.clusters = static_cast<std::size_t>(field("clusters").as_long());
-  spec.opts.aggregation = aggregation_from_name(field("aggregation").as_string());
-  spec.opts.ring_order = ring_order_from_name(field("ring").as_string());
+  spec.opts.aggregation = core::aggregation_from_name(field("aggregation").as_string());
+  spec.opts.ring_order = sim::ring_order_from_name(field("ring").as_string());
   spec.opts.direct_use = field("direct_use").as_bool();
   spec.opts.prox_mu = field("prox_mu").as_float();
   spec.opts.momentum = field("momentum").as_float();

@@ -15,6 +15,14 @@ const char* ring_order_name(RingOrder order) {
   return "?";
 }
 
+RingOrder ring_order_from_name(const std::string& name) {
+  if (name == "random") return RingOrder::kRandom;
+  if (name == "small-to-large") return RingOrder::kSmallToLarge;
+  if (name == "large-to-small") return RingOrder::kLargeToSmall;
+  FEDHISYN_CHECK_MSG(false, "unknown ring order '"
+                                << name << "' (small-to-large|large-to-small|random)");
+}
+
 RingTopology RingTopology::build(const std::vector<std::size_t>& members,
                                  const std::vector<double>& times, RingOrder order,
                                  Rng& rng) {

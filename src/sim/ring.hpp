@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -16,6 +17,8 @@ namespace fedhisyn::sim {
 enum class RingOrder { kRandom, kSmallToLarge, kLargeToSmall };
 
 const char* ring_order_name(RingOrder order);
+/// Inverse of ring_order_name; check-fails on any other name.
+RingOrder ring_order_from_name(const std::string& name);
 
 /// A directed ring: successor(i) is the device that receives models from i.
 class RingTopology {

@@ -229,6 +229,11 @@ TEST(BuildCache, BudgetResolvesFromEnv) {
     ScopedEnv mb("FEDHISYN_BUILD_CACHE_MB", "garbage");
     EXPECT_THROW(BuildCache::budget_bytes_from_env(), CheckError);
   }
+  {
+    // Negative is rejected like --build-cache-mb -1, not read as "default".
+    ScopedEnv mb("FEDHISYN_BUILD_CACHE_MB", "-1");
+    EXPECT_THROW(BuildCache::budget_bytes_from_env(), CheckError);
+  }
 }
 
 // ------------------------------------------- dispatch: affinity + stats --
@@ -266,9 +271,10 @@ TEST(DispatchCache, AffinityDrainsInterleavedBuildsWithoutThrashing) {
   ScopedEnv budget("FEDHISYN_BUILD_CACHE_MB", budget_text);
   ScopedEnv quiet("FEDHISYN_QUIET", "1");
 
-  Dispatcher::Options options;
-  options.workers = 1;
-  const auto process = Dispatcher(options).run(specs);
+  GridScheduler::Options options;
+  options.jobs = 1;
+  options.backend = CellBackend::kProcess;
+  const auto process = GridScheduler(options).run(specs);
   ASSERT_EQ(process.size(), 4u);
 
   // Byte-identity survives affinity reordering and the tiny budget.
@@ -306,18 +312,19 @@ TEST(DispatchCache, ResidentServeWorkerStaysWarmAcrossConnections) {
   // One resident worker, default budget, two back-to-back sweeps = two
   // separate coordinator connections against one worker-lifetime cache.
   ServeWorker worker({"FEDHISYN_QUIET=1"});
-  Dispatcher::Options options;
-  options.hosts = {worker.host()};
+  GridScheduler::Options options;
+  options.backend = CellBackend::kTcp;
+  options.worker_hosts = worker.endpoint();
 
   const auto count = [](const CellResult& cell, const char* name) {
     return delta_of(cell.telemetry.counters, name);
   };
-  const auto first = Dispatcher(options).run(specs);
+  const auto first = GridScheduler(options).run(specs);
   ASSERT_EQ(first.size(), 2u);
   EXPECT_EQ(count(first[0], "build_cache.misses"), 1u);  // the sweep's one build
   EXPECT_EQ(count(first[1], "build_cache.hits"), 1u);  // same build key, second method
 
-  const auto second = Dispatcher(options).run(specs);
+  const auto second = GridScheduler(options).run(specs);
   ASSERT_EQ(second.size(), 2u);
   EXPECT_EQ(count(second[0], "build_cache.hits"), 1u);  // warm from the previous connection
   EXPECT_EQ(count(second[1], "build_cache.hits"), 1u);

@@ -7,9 +7,10 @@
 // --resume semantics, and the atomic / append-safe result sinks.
 //
 // This binary links tests/worker_main.cpp: invoked with --worker-cell it
-// becomes a dispatch worker (the Dispatcher self-execs the running binary,
-// i.e. this test), with --serve a resident TCP worker (the tcp tests spawn
-// two of themselves on ephemeral ports), otherwise it runs the gtest suites.
+// becomes a dispatch worker (the process backend self-execs the running
+// binary, i.e. this test), with --serve a resident TCP worker (the tcp tests
+// spawn two of themselves on ephemeral ports), otherwise it runs the gtest
+// suites.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -316,10 +317,11 @@ TEST(Dispatch, WorkerOfAnotherProtocolRevisionIsRefusedAtTheHello) {
   ASSERT_EQ(::chmod(script.c_str(), 0755), 0);
   auto grid = tiny_grid();
   grid.methods({"FedAvg"});
-  Dispatcher::Options options;
+  GridScheduler::Options options;
+  options.backend = CellBackend::kProcess;
   options.worker_binary = "./" + script;
   try {
-    Dispatcher(options).run(grid.expand());
+    GridScheduler(options).run(grid.expand());
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("protocol revision 1"), std::string::npos)
@@ -346,8 +348,17 @@ TEST(Dispatch, DeterministicCellFailurePropagatesWithoutRetry) {
 
 TEST(Dispatch, MaxAttemptsResolvesFromEnv) {
   EXPECT_EQ(max_attempts_from_env(), 3);  // default: 2 retries
-  ScopedEnv retries("FEDHISYN_WORKER_RETRIES", "5");
-  EXPECT_EQ(max_attempts_from_env(), 6);
+  {
+    ScopedEnv retries("FEDHISYN_WORKER_RETRIES", "5");
+    EXPECT_EQ(max_attempts_from_env(), 6);
+  }
+  {
+    ScopedEnv none("FEDHISYN_WORKER_RETRIES", "0");
+    EXPECT_EQ(max_attempts_from_env(), 1);
+  }
+  // A negative count is a typo, not a request for the default.
+  ScopedEnv negative("FEDHISYN_WORKER_RETRIES", "-1");
+  EXPECT_THROW(max_attempts_from_env(), CheckError);
 }
 
 TEST(Dispatch, CellTimeoutResolvesFromEnv) {
@@ -380,10 +391,11 @@ TEST(Dispatch, HungWorkerIsKilledAtTheDeadlineAndRetried) {
   // attempt; the dispatcher must SIGKILL at the deadline and heal on attempt
   // 2 under the same accounting as a crash.
   ScopedEnv hang("FEDHISYN_TEST_HANG", "FedAvg:1:600");
-  Dispatcher::Options options;
-  options.workers = 2;
+  GridScheduler::Options options;
+  options.jobs = 2;
+  options.backend = CellBackend::kProcess;
   options.cell_timeout_s = 1.0;
-  const auto hung = Dispatcher(options).run(specs);
+  const auto hung = GridScheduler(options).run(specs);
   // The killed worker was reaped, not left behind as a zombie.
   EXPECT_TRUE(no_children_left());
 
@@ -397,12 +409,13 @@ TEST(Dispatch, HungWorkerExhaustsAttemptsWhenItNeverHeals) {
   auto grid = tiny_grid();
   grid.methods({"FedAvg"});
   ScopedEnv hang("FEDHISYN_TEST_HANG", "FedAvg:600:600");  // every attempt wedges
-  Dispatcher::Options options;
-  options.workers = 1;
+  GridScheduler::Options options;
+  options.jobs = 1;
+  options.backend = CellBackend::kProcess;
   options.max_attempts = 2;
   options.cell_timeout_s = 0.3;
   try {
-    Dispatcher(options).run(grid.expand());
+    GridScheduler(options).run(grid.expand());
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("giving up"), std::string::npos);
@@ -452,9 +465,10 @@ TEST(TcpDispatch, WorkerDroppingItsConnectionMidCellIsRetriedElsewhere) {
   // attempt-2 request runs clean.
   ServeWorker volatile_a({"FEDHISYN_TEST_CRASH=FedAvg:1"});
   ServeWorker volatile_b({"FEDHISYN_TEST_CRASH=FedAvg:1"});
-  Dispatcher::Options options;
-  options.hosts = {volatile_a.host(), volatile_b.host()};
-  const auto tcp = Dispatcher(options).run(specs);
+  GridScheduler::Options options;
+  options.backend = CellBackend::kTcp;
+  options.worker_hosts = volatile_a.endpoint() + "," + volatile_b.endpoint();
+  const auto tcp = GridScheduler(options).run(specs);
 
   ASSERT_EQ(clean.size(), tcp.size());
   for (std::size_t i = 0; i < clean.size(); ++i) {
@@ -477,10 +491,11 @@ TEST(TcpDispatch, HungRemoteWorkerIsDisconnectedAtTheDeadlineAndRetried) {
   // earlier, so the cell reruns on the other worker first.
   ServeWorker sleepy_a({"FEDHISYN_TEST_HANG=FedAvg:1:2"});
   ServeWorker sleepy_b({"FEDHISYN_TEST_HANG=FedAvg:1:2"});
-  Dispatcher::Options options;
-  options.hosts = {sleepy_a.host(), sleepy_b.host()};
+  GridScheduler::Options options;
+  options.backend = CellBackend::kTcp;
+  options.worker_hosts = sleepy_a.endpoint() + "," + sleepy_b.endpoint();
   options.cell_timeout_s = 0.5;
-  const auto tcp = Dispatcher(options).run(specs);
+  const auto tcp = GridScheduler(options).run(specs);
 
   ASSERT_EQ(clean.size(), tcp.size());
   for (std::size_t i = 0; i < clean.size(); ++i) {
@@ -499,11 +514,12 @@ TEST(TcpDispatch, DeadHostAtStartupIsRetiredAndTheSweepCompletes) {
   const auto clean = GridScheduler(clean_options).run(specs);
 
   ServeWorker alive;
-  Dispatcher::Options options;
+  GridScheduler::Options options;
+  options.backend = CellBackend::kTcp;
   // Port 1 on loopback refuses instantly; the good worker carries the sweep.
-  options.hosts = {alive.host(), {"127.0.0.1", 1}};
+  options.worker_hosts = alive.endpoint() + ",127.0.0.1:1";
   options.connect_timeout_s = 0.3;
-  const auto tcp = Dispatcher(options).run(specs);
+  const auto tcp = GridScheduler(options).run(specs);
 
   ASSERT_EQ(clean.size(), tcp.size());
   for (std::size_t i = 0; i < clean.size(); ++i) {
@@ -563,7 +579,7 @@ TEST(RunGrid, ResumeSkipsCompletedCellsAndReproducesTheFileByteExactly) {
   resume_options.out = resume_path;
   resume_options.quiet = true;
   resume_options.resume = true;
-  resume_options.dispatch = CellBackend::kProcess;
+  resume_options.scheduler.backend = CellBackend::kProcess;
   const auto resumed = run_grid(specs, resume_options);
 
   // Final file byte-identical to the uninterrupted sweep, results aligned.

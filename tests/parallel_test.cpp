@@ -135,7 +135,7 @@ TEST(ParallelExecutor, EnvOverrideControlsDefaultThreadCount) {
   ::setenv("FEDHISYN_THREADS", "not-a-number", 1);
   EXPECT_THROW(ParallelExecutor::threads_from_env(), CheckError);
   ::setenv("FEDHISYN_THREADS", "-2", 1);
-  EXPECT_GE(ParallelExecutor::threads_from_env(), 1u);
+  EXPECT_THROW(ParallelExecutor::threads_from_env(), CheckError);
   ::unsetenv("FEDHISYN_THREADS");
   EXPECT_GE(ParallelExecutor::threads_from_env(), 1u);
 }

@@ -39,8 +39,6 @@ class ServeWorker {
 
   /// "127.0.0.1:<port>", the form --workers takes.
   const std::string& endpoint() const { return endpoint_; }
-  /// The endpoint as Dispatcher::Options::hosts takes it.
-  net::HostPort host() const { return net::parse_host_port(endpoint_, "127.0.0.1"); }
 
  private:
   Subprocess proc_;

@@ -38,56 +38,26 @@
 #include <cstdio>
 #include <fstream>
 
-#include "common/check.hpp"
 #include "common/counters.hpp"
 #include "common/env.hpp"
 #include "common/flags.hpp"
 #include "common/trace.hpp"
 #include "common/table.hpp"
+#include "core/aggregate.hpp"
 #include "core/presets.hpp"
 #include "exp/driver.hpp"
 #include "exp/scheduler.hpp"
 #include "exp/sinks.hpp"
 #include "nn/serialize.hpp"
+#include "sim/ring.hpp"
 
 namespace {
 
-fedhisyn::sim::RingOrder parse_ring_order(const std::string& name) {
-  using fedhisyn::sim::RingOrder;
-  if (name == "small-to-large") return RingOrder::kSmallToLarge;
-  if (name == "large-to-small") return RingOrder::kLargeToSmall;
-  if (name == "random") return RingOrder::kRandom;
-  std::fprintf(stderr, "unknown --ring-order '%s'\n", name.c_str());
-  std::exit(2);
-}
-
-fedhisyn::core::AggregationRule parse_aggregation(const std::string& name) {
-  using fedhisyn::core::AggregationRule;
-  if (name == "uniform") return AggregationRule::kUniform;
-  if (name == "time") return AggregationRule::kTimeWeighted;
-  if (name == "sample") return AggregationRule::kSampleWeighted;
-  std::fprintf(stderr, "unknown --aggregation '%s'\n", name.c_str());
-  std::exit(2);
-}
-
-}  // namespace
-
-int run_experiment(const fedhisyn::Flags& flags);
-
-int main(int argc, char** argv) {
-  const auto flags = fedhisyn::Flags::parse(argc - 1, argv + 1);
-  try {
-    return run_experiment(flags);
-  } catch (const fedhisyn::CheckError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-}
-
-int run_experiment(const fedhisyn::Flags& flags) {
+// Shared grid-driver flags (--threads, --list-methods, --out, ...) arrive
+// resolved in `grid_options`.
+int run_experiment(const fedhisyn::Flags& flags,
+                   const fedhisyn::exp::GridDriverOptions& grid_options) {
   using namespace fedhisyn;
-  // Shared grid-driver flags: --threads, --list-methods, --out.
-  const auto grid_options = exp::handle_grid_flags(flags);
 
   exp::ExperimentSpec spec;
   spec.build.dataset = flags.get("dataset", "mnist");
@@ -114,8 +84,8 @@ int run_experiment(const fedhisyn::Flags& flags) {
   spec.opts.participation = flags.get_double("participation", 1.0);
   spec.opts.clusters = static_cast<std::size_t>(flags.get_long("clusters", 10));
   spec.opts.momentum = static_cast<float>(flags.get_double("momentum", 0.0));
-  spec.opts.ring_order = parse_ring_order(flags.get("ring-order", "small-to-large"));
-  spec.opts.aggregation = parse_aggregation(flags.get("aggregation", "uniform"));
+  spec.opts.ring_order = sim::ring_order_from_name(flags.get("ring-order", "small-to-large"));
+  spec.opts.aggregation = core::aggregation_from_name(flags.get("aggregation", "uniform"));
   if (flags.has("target")) {
     spec.target = static_cast<float>(flags.get_double("target", 0.5));
   }
@@ -168,4 +138,10 @@ int run_experiment(const fedhisyn::Flags& flags) {
     std::printf("model written to %s (%zu params)\n", path.c_str(), final_weights.size());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return fedhisyn::exp::run_driver(argc, argv, run_experiment);
 }
