@@ -34,6 +34,8 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
+#include "common/env.hpp"
 #include "common/hostinfo.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -230,7 +232,7 @@ bool variant_supported(const std::string& name) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::string out_path = "BENCH_gemm.json";
   double min_time_ms = 200.0;
   std::size_t threads = ParallelExecutor::threads_from_env();
@@ -249,9 +251,12 @@ int main(int argc, char** argv) {
     if (arg == "--out") {
       out_path = next();
     } else if (arg == "--min-time-ms") {
-      min_time_ms = std::atof(next());
+      min_time_ms = parse_double(arg, next());
+      FEDHISYN_CHECK_MSG(min_time_ms > 0.0, "--min-time-ms must be > 0");
     } else if (arg == "--threads") {
-      threads = static_cast<std::size_t>(std::atol(next()));
+      const long value = parse_long(arg, next());
+      FEDHISYN_CHECK_MSG(value >= 1, "--threads must be >= 1, got " << value);
+      threads = static_cast<std::size_t>(value);
     } else if (arg == "--shapes") {
       shapes_filter = next();
     } else if (arg == "--kernel") {
@@ -265,7 +270,6 @@ int main(int argc, char** argv) {
       return arg == "--help" ? 0 : 2;
     }
   }
-  if (threads < 1) threads = 1;
 
   if (list_kernels) {
     for (const std::string& name : gemm_supported_variants()) {
@@ -434,4 +438,13 @@ int main(int argc, char** argv) {
   out << json;
   std::cout << out_path << std::endl;
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const CheckError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

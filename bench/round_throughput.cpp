@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/env.hpp"
 #include "common/hostinfo.hpp"
 #include "common/parallel.hpp"
@@ -89,9 +90,16 @@ Measurement measure(const core::BuiltExperiment& built, const Config& config,
   return best;
 }
 
+/// A flag value that must be a whole number >= 1; anything else check-fails.
+long positive_long(const std::string& flag, const char* text) {
+  const long value = parse_long(flag, text);
+  FEDHISYN_CHECK_MSG(value >= 1, flag << " must be >= 1, got " << value);
+  return value;
+}
+
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::string out_path = "BENCH_rounds.json";
   int rounds = 3;
   int repeat = 2;
@@ -108,20 +116,17 @@ int main(int argc, char** argv) {
     if (arg == "--out") {
       out_path = next();
     } else if (arg == "--rounds") {
-      rounds = std::atoi(next());
+      rounds = static_cast<int>(positive_long(arg, next()));
     } else if (arg == "--repeat") {
-      repeat = std::atoi(next());
+      repeat = static_cast<int>(positive_long(arg, next()));
     } else if (arg == "--threads") {
-      threads = static_cast<std::size_t>(std::atol(next()));
+      threads = static_cast<std::size_t>(positive_long(arg, next()));
     } else {
       std::cerr << "usage: bench_round_throughput [--out FILE] [--rounds N] "
                    "[--repeat N] [--threads N]\n";
       return arg == "--help" ? 0 : 2;
     }
   }
-  if (threads < 1) threads = 1;
-  if (rounds < 1) rounds = 1;
-  if (repeat < 1) repeat = 1;
 
   std::string json;
   json += "{\n  \"schema\": \"fedhisyn-round-throughput/1\",\n";
@@ -194,4 +199,13 @@ int main(int argc, char** argv) {
   out << json;
   std::cout << out_path << std::endl;
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const CheckError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

@@ -43,10 +43,13 @@ class Layer {
 
   virtual void forward(const Shape3& in, std::span<const float> params, const Tensor& x,
                        Tensor& y) const = 0;
-  /// grad_in is overwritten; grad_params is *accumulated* into (caller zeroes
-  /// the blob once per backward pass).
+  /// *grad_in is overwritten; grad_params is *accumulated* into (caller
+  /// zeroes the blob once per backward pass).  grad_in is null when the
+  /// caller discards the input gradient (the first layer of a network): the
+  /// layer then skips computing it, and grad_params comes out bit-identical
+  /// to a call with a non-null grad_in.
   virtual void backward(const Shape3& in, std::span<const float> params, const Tensor& x,
-                        const Tensor& grad_out, Tensor& grad_in,
+                        const Tensor& grad_out, Tensor* grad_in,
                         std::span<float> grad_params) const = 0;
 };
 

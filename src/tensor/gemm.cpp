@@ -7,11 +7,20 @@
 //     panels, both sized from the kernel's register tile (gemmk::task_rows,
 //     gemmk::panel_cols).  The 2-D grid is what the pool parallelises over,
 //     so wide-N conv (im2col) shapes scale past `m` threads.
-//   * The B column panel is packed once per (thread, panel) into a
-//     contiguous, zero-padded, 64-byte-aligned ScratchArena buffer laid out
-//     in NR-wide sub-panels; A is packed per MR-row strip.  Packing
-//     normalises all three memory layouts (NN / NT / TN) into the same
-//     micro-kernel operands; MR/NR come from the selected kernel.
+//   * The k-loop reads op(A) through a (row, column) stride pair and op(B)
+//     through a row stride (gemm_kernel.hpp), so an operand of at most
+//     kInPlaceMaxFloats (64 KiB) is read where it lies: whole MR-row strips
+//     of A in every layout, whole NR-wide sub-panels of B for NN and TN.
+//     This is the small-matrix approach of libxsmm and BLASFEO; Table 1's
+//     Dense shapes (batch 40-50, k and n <= 192) fit it entirely.
+//   * Everything else is packed: ragged edge strips and sub-panels
+//     (zero-padded, so the k-loop never branches on an edge), NT's B (op(B)
+//     rows are k apart in B), and operands above the cutoff, where an
+//     in-place read would walk a long row stride every k step.  A strip
+//     packs into its own slot of a per-thread ScratchArena buffer; the
+//     packed part of a B column panel is packed once per (thread, panel)
+//     into a 64-byte-aligned buffer of NR-wide sub-panels.  MR/NR come from
+//     the selected kernel.
 //   * Every register tile stages through a 64-byte-aligned MR x NR
 //     accumulator: the driver beta-initialises it (per-op semantics below),
 //     the selected k-loop accumulates the *full* k extent, and the valid
@@ -50,6 +59,13 @@ using gemmk::GemmOp;
 // Pool dispatch threshold: a call fans out only with enough work to
 // amortise a pool wakeup; smaller ones run their tasks inline.
 constexpr std::int64_t kParallelFlopThreshold = std::int64_t{1} << 17;
+
+// Largest operand, in floats (64 KiB), that the k-loop reads in place.  A
+// small operand stays cache-resident across the tiles that reread it, so
+// copying it into a pack buys nothing; a larger one is packed, because an
+// in-place read walks its full row stride every k step (cnn_im2col's B
+// would stream 4 KiB rows through L1).
+constexpr std::int64_t kInPlaceMaxFloats = std::int64_t{1} << 14;
 
 // Pack the mr-row strip of op(A) starting at row i0 into ap (k x mr,
 // zero-padded rows past m): ap[p*mr + ii] = op(A)(i0+ii, p).
@@ -108,18 +124,27 @@ void pack_b_panel(const float* b, std::int64_t k, std::int64_t n, std::int64_t j
   }
 }
 
+// One MR-row strip of op(A) as the k-loop reads it: element (ii, p) is
+// a[ii*rs + p*cs] (gemm_kernel.hpp).
+struct AStrip {
+  const float* a;
+  std::int64_t rs;
+  std::int64_t cs;
+};
+
 // One register tile: beta-initialise the staging accumulator (per-op
 // semantics), run the selected k-loop over the full k extent, store the
-// mr_valid x nr_valid corner.  The zero padding in the packs makes the
-// full-tile k-loop valid on edges too: padded rows and columns accumulate
-// garbage-free zeros the store never reads.  Per element this is the exact
-// init/accumulate/store arithmetic of the pre-dispatch kernel, so the bits
-// are unchanged — and identical for every kernel variant.
+// mr_valid x nr_valid corner.  Operands read in place are whole tiles and
+// packed edges are zero-padded, so the full-tile k-loop is valid on edges
+// too: padded rows and columns accumulate zeros the store never reads.  Per
+// element this is the exact init/accumulate/store arithmetic of the
+// pre-dispatch kernel, so the bits are unchanged — and identical for every
+// kernel variant.
 template <GemmOp V>
-void run_micro_tile(const float* ap, const float* bp, float* c, std::int64_t n,
-                    std::int64_t k, std::int64_t i0, std::int64_t j0,
-                    std::int64_t mr_valid, std::int64_t nr_valid, float beta,
-                    const GemmKernel& kernel) {
+void run_micro_tile(const AStrip& strip, const float* bsub, std::int64_t ldb,
+                    float* c, std::int64_t n, std::int64_t k, std::int64_t i0,
+                    std::int64_t j0, std::int64_t mr_valid, std::int64_t nr_valid,
+                    float beta, const GemmKernel& kernel) {
   alignas(64) float acc[gemmk::kMaxMR * gemmk::kMaxNR];
   const std::int64_t mr = kernel.mr;
   const std::int64_t nr = kernel.nr;
@@ -144,7 +169,7 @@ void run_micro_tile(const float* ap, const float* bp, float* c, std::int64_t n,
       }
     }
   }
-  kernel.kloop(ap, bp, k, acc);
+  kernel.kloop(strip.a, strip.rs, strip.cs, bsub, ldb, k, acc);
   if (V == GemmOp::kNT && beta != 0.0f) {
     // beta == 1 multiplies by exactly 1.0f, so one path covers both.
     for (std::int64_t ii = 0; ii < mr_valid; ++ii) {
@@ -175,15 +200,17 @@ struct BPanelMemo {
 };
 thread_local BPanelMemo tl_bpanel;
 
+// Columns [jc, jc+nc) of op(B), packed: a whole column panel, or the
+// ragged tail of one whose other columns are read in place.
 template <GemmOp V>
 const float* ensure_b_panel(const float* b, std::int64_t k, std::int64_t n,
                             std::int64_t jc, std::int64_t nc, std::int64_t nr,
-                            std::int64_t nc_padded, std::uint64_t call_id,
-                            std::int64_t panel_index) {
+                            std::uint64_t call_id, std::int64_t panel_index) {
   // The pool hands out task indices in ascending order, so a thread's tasks
   // for one panel are contiguous: between packing a panel and a memo hit on
   // it there is no intervening kGemmPackB request of a different size, and
   // the buffer is never reallocated out from under a hit.
+  const std::int64_t nc_padded = (nc + nr - 1) / nr * nr;
   auto bp = ScratchArena::buffer(ScratchArena::kGemmPackB,
                                  static_cast<std::size_t>(k * nc_padded));
   if (tl_bpanel.call_id != call_id || tl_bpanel.panel_index != panel_index) {
@@ -206,6 +233,14 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t m,
   const std::int64_t tasks = row_strips * col_panels;
   const std::uint64_t call_id =
       g_gemm_call_id.fetch_add(1, std::memory_order_relaxed);
+  // Per operand: a small A is read in place in whole MR strips, a small B
+  // (NN and TN, where op(B)'s rows are B's rows) in whole NR sub-panels.
+  // Ragged edges, NT's B (its op(B) rows are strided by k) and every large
+  // operand are packed.
+  const bool a_in_place = m * k <= kInPlaceMaxFloats;
+  const bool b_in_place = V != GemmOp::kNT && k * n <= kInPlaceMaxFloats;
+  const std::int64_t a_rs = V == GemmOp::kTN ? 1 : k;
+  const std::int64_t a_cs = V == GemmOp::kTN ? m : 1;
 
   const auto task_body = [&](std::int64_t task) {
     // Pack-vs-kernel attribution: timed only while tracing is on (the off
@@ -219,32 +254,49 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t m,
     const std::int64_t strip_index = task % row_strips;
     const std::int64_t jc = panel_index * panel_cols;
     const std::int64_t nc = std::min(panel_cols, n - jc);
-    const std::int64_t nc_padded = ((nc + nr - 1) / nr) * nr;
-    const float* bp = ensure_b_panel<V>(b, k, n, jc, nc, nr, nc_padded, call_id,
-                                        panel_index);
+    // Columns [jc, jc + nc_direct) are read in place; the rest of the panel
+    // (all of it when B is packed, its ragged tail otherwise) is packed.
+    const std::int64_t nc_direct = b_in_place ? nc / nr * nr : 0;
+    const float* bp =
+        nc_direct < nc ? ensure_b_panel<V>(b, k, n, jc + nc_direct, nc - nc_direct,
+                                           nr, call_id, panel_index)
+                       : nullptr;
     const std::int64_t i_begin = strip_index * task_rows;
     const std::int64_t i_end = std::min(m, i_begin + task_rows);
     const std::int64_t strips = (i_end - i_begin + mr - 1) / mr;
-    // Pack every A strip of the task up front, then walk B sub-panels in the
-    // outer loop: each (k x nr) sub-panel is touched once per task and stays
-    // L1-hot across the strips, instead of streaming the whole packed panel
-    // once per strip.
-    auto ap = ScratchArena::buffer(ScratchArena::kGemmPackA,
-                                   static_cast<std::size_t>(strips * k * mr));
+    // Resolve every A strip of the task up front (each packed one into its
+    // own slot), then walk B sub-panels in the outer loop: each (k x nr)
+    // sub-panel is touched once per task and stays L1-hot across the
+    // strips, instead of streaming the whole panel once per strip.
+    AStrip strip[gemmk::kTaskStrips] = {};
+    std::span<float> ap;
     for (std::int64_t s = 0; s < strips; ++s) {
-      pack_a_strip<V>(a, m, k, i_begin + s * mr, mr, ap.data() + s * k * mr);
+      const std::int64_t i0 = i_begin + s * mr;
+      if (a_in_place && i0 + mr <= m) {
+        strip[s] = {a + (V == GemmOp::kTN ? i0 : i0 * k), a_rs, a_cs};
+        continue;
+      }
+      if (ap.data() == nullptr) {
+        ap = ScratchArena::buffer(ScratchArena::kGemmPackA,
+                                  static_cast<std::size_t>(strips * k * mr));
+      }
+      float* slot = ap.data() + s * k * mr;
+      pack_a_strip<V>(a, m, k, i0, mr, slot);
+      strip[s] = {slot, 1, mr};
     }
     const std::int64_t t_packed = traced ? trace::now_us() : 0;
     for (std::int64_t jr = 0; jr < nc; jr += nr) {
-      const float* panel = bp + (jr / nr) * (k * nr);
+      const bool direct = jr < nc_direct;
+      const float* bsub = direct ? b + jc + jr : bp + (jr - nc_direct) / nr * (k * nr);
+      const std::int64_t ldb = direct ? n : nr;
       const std::int64_t nr_valid = std::min(nr, nc - jr);
       for (std::int64_t s = 0; s < strips; ++s) {
         const std::int64_t i0 = i_begin + s * mr;
         // Clamp to the task boundary, not just m: tasks own disjoint row
         // ranges, so a strip must never write into the next task's rows.
         const std::int64_t mr_valid = std::min(mr, i_end - i0);
-        run_micro_tile<V>(ap.data() + s * k * mr, panel, c, n, k, i0, jc + jr,
-                          mr_valid, nr_valid, beta, kernel);
+        run_micro_tile<V>(strip[s], bsub, ldb, c, n, k, i0, jc + jr, mr_valid,
+                          nr_valid, beta, kernel);
       }
     }
     if (traced) {
@@ -303,6 +355,24 @@ void gemm_run(GemmOp op, const float* a, const float* b, float* c,
   }
 }
 
+// C must not overlap an operand: tiles of C are stored while other tiles
+// still read A and B, in place or while packing them.
+void check_disjoint(const float* c, std::int64_t c_len, const float* x,
+                    std::int64_t x_len, const char* operand) {
+  const auto c0 = reinterpret_cast<std::uintptr_t>(c);
+  const auto x0 = reinterpret_cast<std::uintptr_t>(x);
+  const auto c1 = c0 + static_cast<std::uintptr_t>(c_len) * sizeof(float);
+  const auto x1 = x0 + static_cast<std::uintptr_t>(x_len) * sizeof(float);
+  FEDHISYN_CHECK_MSG(c_len == 0 || x_len == 0 || c1 <= x0 || x1 <= c0,
+                     "gemm output C overlaps operand " << operand);
+}
+
+void check_operands(const float* a, std::int64_t a_len, const float* b,
+                    std::int64_t b_len, const float* c, std::int64_t c_len) {
+  check_disjoint(c, c_len, a, a_len, "A");
+  check_disjoint(c, c_len, b, b_len, "B");
+}
+
 }  // namespace
 
 void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c,
@@ -310,6 +380,7 @@ void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c
   FEDHISYN_CHECK(static_cast<std::int64_t>(a.size()) >= m * k);
   FEDHISYN_CHECK(static_cast<std::int64_t>(b.size()) >= k * n);
   FEDHISYN_CHECK(static_cast<std::int64_t>(c.size()) >= m * n);
+  check_operands(a.data(), m * k, b.data(), k * n, c.data(), m * n);
   gemm_run(GemmOp::kNN, a.data(), b.data(), c.data(), m, k, n, beta);
 }
 
@@ -318,6 +389,7 @@ void gemm_nt(std::span<const float> a, std::span<const float> b, std::span<float
   FEDHISYN_CHECK(static_cast<std::int64_t>(a.size()) >= m * k);
   FEDHISYN_CHECK(static_cast<std::int64_t>(b.size()) >= n * k);
   FEDHISYN_CHECK(static_cast<std::int64_t>(c.size()) >= m * n);
+  check_operands(a.data(), m * k, b.data(), n * k, c.data(), m * n);
   gemm_run(GemmOp::kNT, a.data(), b.data(), c.data(), m, k, n, beta);
 }
 
@@ -326,6 +398,7 @@ void gemm_tn(std::span<const float> a, std::span<const float> b, std::span<float
   FEDHISYN_CHECK(static_cast<std::int64_t>(a.size()) >= k * m);
   FEDHISYN_CHECK(static_cast<std::int64_t>(b.size()) >= k * n);
   FEDHISYN_CHECK(static_cast<std::int64_t>(c.size()) >= m * n);
+  check_operands(a.data(), k * m, b.data(), k * n, c.data(), m * n);
   gemm_run(GemmOp::kTN, a.data(), b.data(), c.data(), m, k, n, beta);
 }
 

@@ -3,9 +3,10 @@
 // C (MxN) += / = op(A) * op(B).  Row-major.  Every shape runs one blocked,
 // packed driver (see gemm.cpp): C is tiled over a 2-D (row strip x column
 // panel) grid that the ParallelExecutor pool fans out over (inline for small
-// calls or when already inside a parallel region), A/B panels are packed
-// into per-thread aligned scratch, and an MRxNR register micro-kernel does
-// the arithmetic.  The micro-kernel is multiversioned per ISA (generic /
+// calls or when already inside a parallel region), small operands are read
+// in place and large ones or ragged edges packed into per-thread aligned
+// scratch, and an MRxNR register micro-kernel does the arithmetic.  C must
+// not overlap A or B (check-fails).  The micro-kernel is multiversioned per ISA (generic /
 // AVX2 / AVX-512 / NEON, one register tile each, see gemm_kernel.hpp) and
 // selected once per process by runtime CPUID dispatch — overridable via
 // FEDHISYN_GEMM_KERNEL; the selection layer is tensor/gemm_tune.hpp.

@@ -27,15 +27,18 @@ namespace {
 bool avx2_supported() { return __builtin_cpu_supports("avx2") != 0; }
 
 // 8x8: 8 ymm accumulators + 1 b load + 1 a broadcast = 10 of 16 ymm regs.
-__attribute__((target("avx2"))) void kloop_8x8(const float* ap, const float* bp,
-                                               std::int64_t k, float* acc) {
+__attribute__((target("avx2"))) void kloop_8x8(const float* a, std::int64_t a_rs,
+                                               std::int64_t a_cs, const float* b,
+                                               std::int64_t ldb, std::int64_t k,
+                                               float* acc) {
   __m256 vacc[8];
   for (int ii = 0; ii < 8; ++ii) vacc[ii] = _mm256_loadu_ps(acc + ii * 8);
   for (std::int64_t p = 0; p < k; ++p) {
-    const __m256 b = _mm256_loadu_ps(bp + p * 8);
-    const float* a = ap + p * 8;
+    const __m256 bv = _mm256_loadu_ps(b + p * ldb);
+    const float* ak = a + p * a_cs;
     for (int ii = 0; ii < 8; ++ii) {
-      vacc[ii] = _mm256_add_ps(vacc[ii], _mm256_mul_ps(_mm256_set1_ps(a[ii]), b));
+      vacc[ii] = _mm256_add_ps(vacc[ii],
+                               _mm256_mul_ps(_mm256_set1_ps(ak[ii * a_rs]), bv));
     }
   }
   for (int ii = 0; ii < 8; ++ii) _mm256_storeu_ps(acc + ii * 8, vacc[ii]);

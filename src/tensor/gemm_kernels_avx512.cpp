@@ -19,16 +19,20 @@ namespace {
 
 bool avx512_supported() { return __builtin_cpu_supports("avx512f") != 0; }
 
-__attribute__((target("avx512f"))) void kloop_8x16(const float* ap,
-                                                   const float* bp,
+__attribute__((target("avx512f"))) void kloop_8x16(const float* a,
+                                                   std::int64_t a_rs,
+                                                   std::int64_t a_cs,
+                                                   const float* b,
+                                                   std::int64_t ldb,
                                                    std::int64_t k, float* acc) {
   __m512 vacc[8];
   for (int ii = 0; ii < 8; ++ii) vacc[ii] = _mm512_loadu_ps(acc + ii * 16);
   for (std::int64_t p = 0; p < k; ++p) {
-    const __m512 b = _mm512_loadu_ps(bp + p * 16);
-    const float* a = ap + p * 8;
+    const __m512 bv = _mm512_loadu_ps(b + p * ldb);
+    const float* ak = a + p * a_cs;
     for (int ii = 0; ii < 8; ++ii) {
-      vacc[ii] = _mm512_add_ps(vacc[ii], _mm512_mul_ps(_mm512_set1_ps(a[ii]), b));
+      vacc[ii] = _mm512_add_ps(vacc[ii],
+                               _mm512_mul_ps(_mm512_set1_ps(ak[ii * a_rs]), bv));
     }
   }
   for (int ii = 0; ii < 8; ++ii) _mm512_storeu_ps(acc + ii * 16, vacc[ii]);

@@ -1,7 +1,7 @@
 // Generic (portable) GEMM micro-kernel: the 4x8 register tile in GCC vector
 // extensions that every arch-specialised variant must reproduce bit-for-bit.
-// This is the PR-3 kernel re-hosted on the gemm_kernel.hpp staging-tile ABI:
-// the k-loop loads the driver-initialised accumulator into 4x2 4-lane vector
+// This is the PR-3 kernel re-hosted on the gemm_kernel.hpp staging-tile ABI
+// (strided A strip, row-strided B sub-panel): the k-loop loads the driver-initialised accumulator into 4x2 4-lane vector
 // registers, accumulates the full k extent in ascending order (one rounded
 // mul + one rounded add per term — see the contract in gemm_kernel.hpp), and
 // stores the registers back to the staging tile.
@@ -23,8 +23,8 @@ constexpr std::int64_t kNR = 8;
 // is per-lane IEEE mul/add — the same rounding as scalar code — so every
 // formulation below produces identical bits (no reassociation anywhere).
 #if defined(__GNUC__) || defined(__clang__)
-// may_alias: packed panels and the staging tile are float arrays read
-// through lanes.
+// may_alias: operands and the staging tile are float arrays read through
+// lanes.
 typedef float v4f __attribute__((vector_size(16), may_alias));
 #define FEDHISYN_ALWAYS_INLINE __attribute__((always_inline)) inline
 #define FEDHISYN_RESTRICT __restrict__
@@ -63,52 +63,55 @@ FEDHISYN_ALWAYS_INLINE void v4_storeu(float* p, v4f v) {
 static_assert(kNR % 4 == 0);
 constexpr std::int64_t kNV = kNR / 4;
 
-// vacc[ii][jv] += sum_p ap[p,ii] * bp[p, 4*jv..4*jv+3], p ascending.  Two k
-// steps per iteration halve loop bookkeeping; each accumulator still sees
-// its terms strictly in ascending p order (sequential adds, never a second
-// accumulator), so the unroll is invisible to the bits.
-FEDHISYN_ALWAYS_INLINE void micro_kloop(const float* FEDHISYN_RESTRICT ap,
-                                        const float* FEDHISYN_RESTRICT bp,
-                                        std::int64_t k, v4f vacc[kMR][kNV]) {
+// vacc[ii][jv] += sum_p a[ii*a_rs + p*a_cs] * b[p*ldb + 4*jv..4*jv+3], p
+// ascending.  Two k steps per iteration halve loop bookkeeping; each
+// accumulator still sees its terms strictly in ascending p order (sequential
+// adds, never a second accumulator), so the unroll is invisible to the bits.
+FEDHISYN_ALWAYS_INLINE void micro_kloop(const float* FEDHISYN_RESTRICT a,
+                                        std::int64_t a_rs, std::int64_t a_cs,
+                                        const float* FEDHISYN_RESTRICT b,
+                                        std::int64_t ldb, std::int64_t k,
+                                        v4f vacc[kMR][kNV]) {
   std::int64_t p = 0;
   for (; p + 2 <= k; p += 2) {
-    const float* a = ap + p * kMR;
-    const float* b = bp + p * kNR;
+    const float* a0 = a + p * a_cs;
+    const float* b0 = b + p * ldb;
     for (std::int64_t ii = 0; ii < kMR; ++ii) {
-      const v4f ai = v4_broadcast(a[ii]);
+      const v4f ai = v4_broadcast(a0[ii * a_rs]);
       for (std::int64_t jv = 0; jv < kNV; ++jv) {
-        vacc[ii][jv] += ai * v4_loadu(b + jv * 4);
+        vacc[ii][jv] += ai * v4_loadu(b0 + jv * 4);
       }
     }
-    const float* a1 = a + kMR;
-    const float* b1 = b + kNR;
+    const float* a1 = a0 + a_cs;
+    const float* b1 = b0 + ldb;
     for (std::int64_t ii = 0; ii < kMR; ++ii) {
-      const v4f ai = v4_broadcast(a1[ii]);
+      const v4f ai = v4_broadcast(a1[ii * a_rs]);
       for (std::int64_t jv = 0; jv < kNV; ++jv) {
         vacc[ii][jv] += ai * v4_loadu(b1 + jv * 4);
       }
     }
   }
   for (; p < k; ++p) {
-    const float* a = ap + p * kMR;
-    const float* b = bp + p * kNR;
+    const float* a0 = a + p * a_cs;
+    const float* b0 = b + p * ldb;
     for (std::int64_t ii = 0; ii < kMR; ++ii) {
-      const v4f ai = v4_broadcast(a[ii]);
+      const v4f ai = v4_broadcast(a0[ii * a_rs]);
       for (std::int64_t jv = 0; jv < kNV; ++jv) {
-        vacc[ii][jv] += ai * v4_loadu(b + jv * 4);
+        vacc[ii][jv] += ai * v4_loadu(b0 + jv * 4);
       }
     }
   }
 }
 
-void kloop_4x8(const float* ap, const float* bp, std::int64_t k, float* acc) {
+void kloop_4x8(const float* a, std::int64_t a_rs, std::int64_t a_cs,
+               const float* b, std::int64_t ldb, std::int64_t k, float* acc) {
   v4f vacc[kMR][kNV];
   for (std::int64_t ii = 0; ii < kMR; ++ii) {
     for (std::int64_t jv = 0; jv < kNV; ++jv) {
       vacc[ii][jv] = v4_loadu(acc + ii * kNR + jv * 4);
     }
   }
-  micro_kloop(ap, bp, k, vacc);
+  micro_kloop(a, a_rs, a_cs, b, ldb, k, vacc);
   for (std::int64_t ii = 0; ii < kMR; ++ii) {
     for (std::int64_t jv = 0; jv < kNV; ++jv) {
       v4_storeu(acc + ii * kNR + jv * 4, vacc[ii][jv]);

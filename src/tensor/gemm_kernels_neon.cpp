@@ -24,18 +24,19 @@ namespace {
 bool neon_supported() { return true; }
 
 // 8x8: 16 accumulators + 2 b loads + 1 dup = 19 of 32 q registers.
-void kloop_8x8(const float* ap, const float* bp, std::int64_t k, float* acc) {
+void kloop_8x8(const float* a, std::int64_t a_rs, std::int64_t a_cs,
+               const float* b, std::int64_t ldb, std::int64_t k, float* acc) {
   float32x4_t vacc[8][2];
   for (int ii = 0; ii < 8; ++ii) {
     vacc[ii][0] = vld1q_f32(acc + ii * 8);
     vacc[ii][1] = vld1q_f32(acc + ii * 8 + 4);
   }
   for (std::int64_t p = 0; p < k; ++p) {
-    const float32x4_t b0 = vld1q_f32(bp + p * 8);
-    const float32x4_t b1 = vld1q_f32(bp + p * 8 + 4);
-    const float* a = ap + p * 8;
+    const float32x4_t b0 = vld1q_f32(b + p * ldb);
+    const float32x4_t b1 = vld1q_f32(b + p * ldb + 4);
+    const float* ak = a + p * a_cs;
     for (int ii = 0; ii < 8; ++ii) {
-      const float32x4_t ai = vdupq_n_f32(a[ii]);
+      const float32x4_t ai = vdupq_n_f32(ak[ii * a_rs]);
       vacc[ii][0] = vaddq_f32(vacc[ii][0], vmulq_f32(ai, b0));
       vacc[ii][1] = vaddq_f32(vacc[ii][1], vmulq_f32(ai, b1));
     }

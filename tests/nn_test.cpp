@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/counters.hpp"
 #include "common/rng.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/dense.hpp"
 #include "nn/models.hpp"
 #include "nn/network.hpp"
 #include "nn/pool.hpp"
@@ -171,7 +174,7 @@ TEST(Network, MaxPoolForwardBackwardHandComputed) {
   Tensor grad_out({1, 1, 2, 2});
   for (int i = 0; i < 4; ++i) grad_out.at(i) = static_cast<float>(i + 1);
   Tensor grad_in;
-  pool.backward(in, {}, x, grad_out, grad_in, {});
+  pool.backward(in, {}, x, grad_out, &grad_in, {});
   EXPECT_FLOAT_EQ(grad_in.at(5), 1.0f);   // 4 at (1,1)
   EXPECT_FLOAT_EQ(grad_in.at(7), 2.0f);   // 5 at (1,3)
   EXPECT_FLOAT_EQ(grad_in.at(13), 3.0f);  // 7 at (3,1)
@@ -180,6 +183,55 @@ TEST(Network, MaxPoolForwardBackwardHandComputed) {
   double total = 0.0;
   for (int i = 0; i < 16; ++i) total += grad_in.at(i);
   EXPECT_DOUBLE_EQ(total, 10.0);
+}
+
+/// Backward with grad_in == nullptr must skip only the input gradient: the
+/// parameter gradient comes out bit-identical to the full call's.
+void expect_null_grad_in_keeps_param_grads(const Layer& layer, const Shape3& in,
+                                           std::int64_t batch, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> params(static_cast<std::size_t>(layer.param_count(in)));
+  layer.init_params(in, params, rng);
+  Tensor x({batch, in.c, in.h, in.w});
+  for (std::int64_t i = 0; i < x.numel(); ++i) x.at(i) = static_cast<float>(rng.normal());
+  Tensor y;
+  layer.forward(in, params, x, y);
+  Tensor grad_out(y.shape());
+  for (std::int64_t i = 0; i < grad_out.numel(); ++i) {
+    grad_out.at(i) = static_cast<float>(rng.normal());
+  }
+  // Start both accumulators from the same nonzero contents: backward adds.
+  std::vector<float> full(params.size());
+  for (auto& g : full) g = static_cast<float>(rng.normal());
+  std::vector<float> skipped = full;
+  Tensor grad_in;
+  layer.backward(in, params, x, grad_out, &grad_in, full);
+  layer.backward(in, params, x, grad_out, nullptr, skipped);
+  EXPECT_EQ(grad_in.numel(), x.numel());
+  ASSERT_EQ(0, std::memcmp(full.data(), skipped.data(), full.size() * sizeof(float)));
+}
+
+TEST(Layers, NullGradInKeepsDenseParamGradsBitIdentical) {
+  expect_null_grad_in_keeps_param_grads(Dense(13), {24, 1, 1}, /*batch=*/11, 401);
+}
+
+TEST(Layers, NullGradInKeepsConvParamGradsBitIdentical) {
+  expect_null_grad_in_keeps_param_grads(Conv2d(5, 3, 1, 1), {3, 7, 6}, /*batch=*/4, 403);
+}
+
+TEST(Network, LossAndGradSkipsFirstLayerInputGradient) {
+  // Three Dense layers: three forward GEMMs, three weight-gradient GEMMs and
+  // an input-gradient GEMM for every layer but the first.
+  const auto net = make_mlp(10, 4, {12, 8});
+  Rng rng(405);
+  const auto weights = net.init_weights(rng);
+  const Problem p = make_problem(net, 9, rng);
+  Workspace ws;
+  std::vector<float> grad(weights.size());
+  counters::Counter& calls = counters::counter("gemm.calls");
+  const std::uint64_t before = calls.get();
+  net.loss_and_grad(weights, p.x, p.y, grad, ws);
+  EXPECT_EQ(calls.get() - before, 8u);
 }
 
 TEST(Network, ConvPoolGradientMatchesFiniteDifference) {

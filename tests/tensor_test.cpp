@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -241,6 +242,11 @@ void expect_all_variants_exact(std::int64_t m, std::int64_t k, std::int64_t n,
 // pool.  Every shape, however tiny, runs the register kernel.  Then three
 // Table-1 census shapes (mnist's Dense layers at batch 40, cifar100's
 // weight-gradient call) and an empty k, where C is only beta-scaled.
+// The last row straddles the in-place cutoff (16384 floats per operand,
+// gemm.cpp): m*k and k*n just below, at and just above it, alone and
+// mixed, with ragged m and n and at least two MR strips per task, so every
+// packed strip of a task must land in its own slot; then an in-place B two
+// column panels wide with a ragged tail.
 // Shared between the parameterised suite (default kernel) and the
 // kernel-variant matrix below.
 const std::tuple<int, int, int> kGemmEdgeShapes[] = {
@@ -248,6 +254,8 @@ const std::tuple<int, int, int> kGemmEdgeShapes[] = {
     {3, 5, 7},    {4, 64, 8},   {5, 64, 9},    {7, 129, 15},
     {9, 33, 130}, {33, 70, 520}, {64, 256, 96},
     {40, 32, 16}, {40, 16, 10}, {192, 50, 64}, {3, 0, 5},
+    {21, 780, 21}, {21, 781, 21}, {23, 713, 22}, {22, 713, 23},
+    {32, 512, 32}, {33, 497, 33}, {19, 24, 600},
 };
 
 class GemmExactShapes
@@ -387,6 +395,26 @@ TEST(GemmExact, ExactZeroOperandsTakeNoShortcut) {
   gemm(a, b, c, m, k, n);
   exact_gemm(a, b, ref, m, k, n, 0.0f);
   for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(c[i], ref[i]) << i;
+}
+
+TEST(GemmExact, OverlappingOutputIsRejected) {
+  // Operands are read in place while C tiles are stored, so C may share no
+  // float with A or B; adjacent ranges are fine.
+  std::vector<float> buf(64, 1.0f);
+  const std::span<float> all(buf);
+  const auto in = [&](std::size_t at) {
+    return std::span<const float>(all.subspan(at, 16));
+  };
+  const auto out = [&](std::size_t at) { return all.subspan(at, 16); };
+  EXPECT_THROW(gemm(in(0), in(32), out(0), 4, 4, 4), CheckError);
+  EXPECT_THROW(gemm(in(0), in(32), out(40), 4, 4, 4), CheckError);
+  EXPECT_THROW(gemm_nt(in(0), in(32), out(15), 4, 4, 4), CheckError);
+  EXPECT_THROW(gemm_nt(in(16), in(32), out(20), 4, 4, 4), CheckError);
+  EXPECT_THROW(gemm_tn(in(0), in(32), out(47), 4, 4, 4, 1.0f), CheckError);
+  EXPECT_THROW(gemm_tn(in(0), in(16), out(0), 4, 4, 4), CheckError);
+  EXPECT_NO_THROW(gemm(in(0), in(32), out(16), 4, 4, 4));
+  EXPECT_NO_THROW(gemm_nt(in(16), in(48), out(0), 4, 4, 4));
+  EXPECT_NO_THROW(gemm_tn(in(0), in(16), out(48), 4, 4, 4));
 }
 
 TEST(GemmExact, BitIdenticalAcrossThreadCounts) {
