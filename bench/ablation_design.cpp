@@ -13,8 +13,9 @@
 #include "core/fedhisyn_algo.hpp"
 #include "core/presets.hpp"
 #include "core/runner.hpp"
+#include "exp/driver.hpp"
 
-int main() {
+static int run(const fedhisyn::Flags&, const fedhisyn::exp::GridDriverOptions&) {
   using namespace fedhisyn;
   const bool full = full_scale_enabled();
 
@@ -84,3 +85,5 @@ int main() {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return fedhisyn::exp::run_driver(argc, argv, {}, run); }

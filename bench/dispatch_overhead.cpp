@@ -24,6 +24,7 @@
 //                             [--jobs N] [--repeat N]
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -64,17 +65,17 @@ double run_backend(const std::vector<fedhisyn::exp::ExperimentSpec>& specs,
   return run_backend(specs, std::move(options), repeat);
 }
 
-// Reached through run_driver, which has applied --worker-cell / --threads /
-// --list-methods; the sweeps below set their own backends.
+// Reached through run_driver, which has applied --worker-cell / --serve /
+// --threads; the sweeps below set their own backends.
 int run(const fedhisyn::Flags& flags, const fedhisyn::exp::GridDriverOptions&) {
   using namespace fedhisyn;
   // The sweeps below use many distinct builds; keep the workers' per-build
   // cache log lines out of the bench output.
   ::setenv("FEDHISYN_QUIET", "1", /*overwrite=*/1);
 
-  const std::size_t cells = static_cast<std::size_t>(flags.get_long("cells", 12));
-  const std::size_t jobs = static_cast<std::size_t>(flags.get_long("jobs", 2));
-  const int repeat = static_cast<int>(flags.get_long("repeat", 1));
+  const std::size_t cells = static_cast<std::size_t>(flags.get_long("cells", 12, 1));
+  const std::size_t jobs = static_cast<std::size_t>(flags.get_long("jobs", 2, 1));
+  const int repeat = static_cast<int>(flags.get_long("repeat", 1, 1, INT_MAX));
   const std::string out_path = flags.get("out", "BENCH_dispatch.json");
 
   // Tiny cells: 4 devices, 1 round, a handful of samples — compute is a few
@@ -219,4 +220,7 @@ int run(const fedhisyn::Flags& flags, const fedhisyn::exp::GridDriverOptions&) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return fedhisyn::exp::run_driver(argc, argv, run); }
+int main(int argc, char** argv) {
+  return fedhisyn::exp::run_driver(argc, argv,
+                                   {"out=FILE", "cells=N", "jobs=N", "repeat=N"}, run);
+}

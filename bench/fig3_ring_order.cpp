@@ -16,8 +16,9 @@
 #include "common/table.hpp"
 #include "core/decentral.hpp"
 #include "core/presets.hpp"
+#include "exp/driver.hpp"
 
-int main() {
+static int run(const fedhisyn::Flags&, const fedhisyn::exp::GridDriverOptions&) {
   using namespace fedhisyn;
   const bool full = full_scale_enabled();
   const int rounds = full ? 50 : 15;
@@ -69,3 +70,5 @@ int main() {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return fedhisyn::exp::run_driver(argc, argv, {}, run); }

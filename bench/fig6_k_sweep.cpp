@@ -77,4 +77,7 @@ int run(const fedhisyn::Flags& flags,
 
 }  // namespace
 
-int main(int argc, char** argv) { return fedhisyn::exp::run_driver(argc, argv, run); }
+int main(int argc, char** argv) {
+  using namespace fedhisyn::exp;
+  return run_driver(argc, argv, grid_flags({kDatasetFlag}), run);
+}

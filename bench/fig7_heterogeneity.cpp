@@ -3,7 +3,7 @@
 // Fleets with exact heterogeneity ratio H = t_max/t_min ∈ {2, 5, 10, 20},
 // MNIST-like and CIFAR10-like suites, 50% participation, Dirichlet(0.3).
 // Declared as an ExperimentGrid; --grid-jobs N fans the cells out (see
-// exp/driver.hpp for the shared flags).
+// docs/CONFIG.md for the shared flags).
 //
 // Expected shape (paper): FedAvg's final accuracy FALLS as H grows (more
 // stale/imbalanced local work), while FedHiSyn's RISES (fast rings complete
@@ -75,4 +75,7 @@ int run(const fedhisyn::Flags& flags,
 
 }  // namespace
 
-int main(int argc, char** argv) { return fedhisyn::exp::run_driver(argc, argv, run); }
+int main(int argc, char** argv) {
+  using namespace fedhisyn::exp;
+  return run_driver(argc, argv, grid_flags({kDatasetFlag}), run);
+}

@@ -11,18 +11,18 @@
 // hardware where raw GFLOP/s would not.  `blk_mt_ms` / `parallel_scaling`
 // are informational (pool size = --threads / FEDHISYN_THREADS).
 //
-//   ./bench_gemm_sweep --out BENCH_gemm.json [--min-time-ms 200] [--threads N]
-//                      [--shapes name,...] [--kernel VARIANT]
-//                      [--list-kernels]
+//   ./bench_gemm_sweep --out BENCH_gemm.json [--min-time-ms 200]
+//                      [--shapes name,...] [--list-kernels]
+//                      (plus the shared --threads, --gemm-kernel, ...)
 //
 // Kernel modes: by default every shape is timed under the auto-selected
 // kernel (the plain entry, gated against bench/baselines/BENCH_gemm.json)
 // *and* once per supported ISA variant (entries named "<shape>@<variant>";
 // the @generic rows join the main baseline, the @avx2 rows are gated by
-// bench/baselines/BENCH_gemm_isa.json on hosts that have AVX2).  --kernel
-// forces one variant for the plain entries instead and skips the per-variant
-// sweep; an unsupported variant exits with status 3 so CI can skip
-// gracefully.  --list-kernels prints the supported variant names and exits.
+// bench/baselines/BENCH_gemm_isa.json on hosts that have AVX2).  The shared
+// --gemm-kernel forces one variant for the plain entries instead and skips
+// the per-variant sweep; an unknown or unsupported variant fails at startup.
+// --list-kernels prints the supported variant names and exits.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -35,10 +35,10 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 #include "common/hostinfo.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "exp/driver.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_tune.hpp"
 
@@ -223,123 +223,55 @@ void force_kernel(const char* spec) {
   gemm_runtime_reinit();
 }
 
-bool variant_supported(const std::string& name) {
-  for (const std::string& supported : gemm_supported_variants()) {
-    if (supported == name) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
-int run(int argc, char** argv) {
-  std::string out_path = "BENCH_gemm.json";
-  double min_time_ms = 200.0;
-  std::size_t threads = ParallelExecutor::threads_from_env();
-  std::string shapes_filter;
-  std::string kernel_spec;
-  bool list_kernels = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--min-time-ms") {
-      min_time_ms = parse_double(arg, next());
-      FEDHISYN_CHECK_MSG(min_time_ms > 0.0, "--min-time-ms must be > 0");
-    } else if (arg == "--threads") {
-      const long value = parse_long(arg, next());
-      FEDHISYN_CHECK_MSG(value >= 1, "--threads must be >= 1, got " << value);
-      threads = static_cast<std::size_t>(value);
-    } else if (arg == "--shapes") {
-      shapes_filter = next();
-    } else if (arg == "--kernel") {
-      kernel_spec = next();
-    } else if (arg == "--list-kernels") {
-      list_kernels = true;
-    } else {
-      std::cerr << "usage: bench_gemm_sweep [--out FILE] [--min-time-ms MS] "
-                   "[--threads N] [--shapes name,...] "
-                   "[--kernel VARIANT] [--list-kernels]\n";
-      return arg == "--help" ? 0 : 2;
-    }
-  }
-
-  if (list_kernels) {
+// Reached through run_driver, which has sized the global pool for --threads
+// and forced --gemm-kernel.
+int run(const Flags& flags, const exp::GridDriverOptions&) {
+  if (flags.get_bool("list-kernels")) {
     for (const std::string& name : gemm_supported_variants()) {
       std::printf("%s\n", name.c_str());
     }
     return 0;
   }
+  const std::string out_path = flags.get("out", "BENCH_gemm.json");
+  const double min_time_ms = flags.get_double("min-time-ms", 200.0);
+  FEDHISYN_CHECK_MSG(min_time_ms > 0.0, "--min-time-ms must be > 0");
+  const std::size_t threads = ParallelExecutor::global().thread_count();
 
   // --shapes: restrict the sweep, keeping the table's order.
+  const std::vector<std::string> names = exp::list_flag(flags, "shapes", {});
   std::vector<const GemmShape*> selected;
-  if (shapes_filter.empty()) {
-    for (const GemmShape& s : kShapes) selected.push_back(&s);
-  } else {
-    std::string item;
-    std::vector<std::string> names;
-    for (const char c : shapes_filter + ",") {
-      if (c == ',') {
-        if (!item.empty()) names.push_back(item);
-        item.clear();
-      } else {
-        item.push_back(c);
-      }
+  std::string known;
+  for (const GemmShape& s : kShapes) {
+    if (names.empty() || std::find(names.begin(), names.end(), s.name) != names.end()) {
+      selected.push_back(&s);
     }
-    for (const GemmShape& s : kShapes) {
-      if (std::find(names.begin(), names.end(), s.name) != names.end()) {
-        selected.push_back(&s);
-      }
-    }
-    if (selected.size() != names.size()) {
-      std::cerr << "--shapes: unknown shape name in '" << shapes_filter
-                << "' (known:";
-      for (const GemmShape& s : kShapes) std::cerr << " " << s.name;
-      std::cerr << ")\n";
-      return 2;
-    }
+    known += std::string(" ") + s.name;
   }
-
-  // --kernel: force one variant for the whole sweep.  A variant this CPU
-  // cannot run (or an unknown name) exits 3, distinct from usage errors, so
-  // CI matrix steps can skip.
-  if (!kernel_spec.empty()) {
-    if (kernel_spec != "auto" && !variant_supported(kernel_spec)) {
-      std::cerr << "bench_gemm_sweep: kernel variant '" << kernel_spec
-                << "' is unknown or not supported on this CPU — skipping\n";
-      return 3;
-    }
-    force_kernel(kernel_spec.c_str());
-  }
+  FEDHISYN_CHECK_MSG(names.empty() || selected.size() == names.size(),
+                     "--shapes: unknown shape name in '" << flags.get("shapes", "")
+                                                         << "' (known:" << known << ")");
 
   // Timing modes per shape: the current selection (plain entry, gated), and
-  // — unless --kernel pinned one — every supported variant as "@variant"
-  // entries (single-thread only; the ref timing is shared).
+  // — unless --gemm-kernel pinned one — every supported variant as
+  // "@variant" entries (single-thread only; the ref timing is shared).
   struct Mode {
     std::string suffix;       // "" or "@avx2"
     std::string kernel_env;   // "" = the sweep's default selection
   };
   std::vector<Mode> modes;
   modes.push_back({"", ""});
-  if (kernel_spec.empty()) {
+  if (!flags.has("gemm-kernel")) {
     for (const std::string& name : gemm_supported_variants()) {
       modes.push_back({"@" + name, name});
     }
   }
   const char* original_env = std::getenv("FEDHISYN_GEMM_KERNEL");
   const std::string original_spec = original_env != nullptr ? original_env : "";
-  const bool original_set = original_env != nullptr || !kernel_spec.empty();
-  const std::string default_spec = kernel_spec.empty() ? original_spec : kernel_spec;
+  const char* default_spec = original_env != nullptr ? original_spec.c_str() : nullptr;
 
   ParallelExecutor pool_st(1);
-  ParallelExecutor pool_mt(threads);
 
   std::string json;
   json += "{\n  \"schema\": \"fedhisyn-gemm-sweep/1\",\n";
@@ -360,7 +292,7 @@ int run(int argc, char** argv) {
 
     for (const Mode& mode : modes) {
       if (mode.kernel_env.empty()) {
-        force_kernel(original_set ? default_spec.c_str() : nullptr);
+        force_kernel(default_spec);
       } else {
         force_kernel(mode.kernel_env.c_str());
       }
@@ -374,11 +306,9 @@ int run(int argc, char** argv) {
       const double speedup_st = ref_st_ms / blk_st_ms;
       char line[512];
       if (mode.suffix.empty()) {
-        double blk_mt_ms = 0.0;
-        {
-          ParallelExecutor::Bind bind(pool_mt);
-          blk_mt_ms = time_best_ms(min_time_ms, [&] { run_blocked(s, ops); });
-        }
+        // On the global pool (--threads).
+        const double blk_mt_ms =
+            time_best_ms(min_time_ms, [&] { run_blocked(s, ops); });
         const double scaling = blk_st_ms / blk_mt_ms;
         std::snprintf(
             line, sizeof(line),
@@ -426,9 +356,7 @@ int run(int argc, char** argv) {
   json += "\n  ]\n}\n";
 
   // Leave the selection the way the process started.
-  force_kernel(original_set ? (kernel_spec.empty() ? original_spec.c_str()
-                                                   : kernel_spec.c_str())
-                            : nullptr);
+  force_kernel(default_spec);
 
   std::ofstream out(out_path);
   if (!out) {
@@ -441,10 +369,6 @@ int run(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const CheckError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  return fedhisyn::exp::run_driver(
+      argc, argv, {"out=FILE", "min-time-ms=MS", "shapes=a,b", "list-kernels"}, run);
 }

@@ -17,22 +17,22 @@
 // `speedup_model`).
 //
 //   ./bench_round_throughput --out BENCH_rounds.json [--rounds N]
-//                            [--repeat N] [--threads N]
+//                            [--repeat N]   (plus the shared --threads, ...)
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "common/check.hpp"
 #include "common/env.hpp"
 #include "common/hostinfo.hpp"
 #include "common/parallel.hpp"
 #include "core/presets.hpp"
 #include "core/registry.hpp"
 #include "core/round_graph.hpp"
+#include "exp/driver.hpp"
 #include "tensor/gemm_tune.hpp"
 
 namespace {
@@ -42,7 +42,7 @@ using namespace fedhisyn;
 struct Config {
   const char* method;
   std::size_t devices;
-  /// 0 = the harness-wide thread count (--threads / FEDHISYN_THREADS).
+  /// 0 = the global pool's thread count (--threads / FEDHISYN_THREADS).
   std::size_t threads = 0;
 };
 
@@ -90,43 +90,14 @@ Measurement measure(const core::BuiltExperiment& built, const Config& config,
   return best;
 }
 
-/// A flag value that must be a whole number >= 1; anything else check-fails.
-long positive_long(const std::string& flag, const char* text) {
-  const long value = parse_long(flag, text);
-  FEDHISYN_CHECK_MSG(value >= 1, flag << " must be >= 1, got " << value);
-  return value;
-}
-
 }  // namespace
 
-int run(int argc, char** argv) {
-  std::string out_path = "BENCH_rounds.json";
-  int rounds = 3;
-  int repeat = 2;
-  std::size_t threads = ParallelExecutor::threads_from_env();
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--rounds") {
-      rounds = static_cast<int>(positive_long(arg, next()));
-    } else if (arg == "--repeat") {
-      repeat = static_cast<int>(positive_long(arg, next()));
-    } else if (arg == "--threads") {
-      threads = static_cast<std::size_t>(positive_long(arg, next()));
-    } else {
-      std::cerr << "usage: bench_round_throughput [--out FILE] [--rounds N] "
-                   "[--repeat N] [--threads N]\n";
-      return arg == "--help" ? 0 : 2;
-    }
-  }
+// Reached through run_driver, which has sized the global pool for --threads.
+int run(const Flags& flags, const exp::GridDriverOptions&) {
+  const std::string out_path = flags.get("out", "BENCH_rounds.json");
+  const int rounds = static_cast<int>(flags.get_long("rounds", 3, 1, INT_MAX));
+  const int repeat = static_cast<int>(flags.get_long("repeat", 2, 1, INT_MAX));
+  const std::size_t threads = ParallelExecutor::global().thread_count();
 
   std::string json;
   json += "{\n  \"schema\": \"fedhisyn-round-throughput/1\",\n";
@@ -202,10 +173,5 @@ int run(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const CheckError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  return fedhisyn::exp::run_driver(argc, argv, {"out=FILE", "rounds=N", "repeat=N"}, run);
 }

@@ -8,16 +8,9 @@
 // accuracy, with the final accuracy in parentheses.  "X(acc)" marks runs
 // that never reach the target — exactly the paper's cell format.
 //
-// The sweep is a declarative ExperimentGrid fanned out by GridScheduler:
-//   --grid-jobs N     run N cells concurrently (results are byte-identical
-//                     to a serial run)
-//   --threads N       total worker-thread budget (FEDHISYN_THREADS fallback)
-//   --out PATH        per-cell results as JSONL (or CSV with *.csv)
-//   --part 100,50     restrict participation %
-//   --dataset a,b     restrict datasets
-//   --partition x,y   restrict partitions: iid | dir<beta>
-//   --list-methods    print the registered algorithms and exit
-//   FEDHISYN_FULL=1   paper-scale (100 devices, 100/150 rounds)
+// The sweep is a declarative ExperimentGrid fanned out by GridScheduler;
+// --help lists the flags (docs/CONFIG.md describes them), and
+// FEDHISYN_FULL=1 runs it at paper scale (100 devices, 100/150 rounds).
 //
 // Expected shape (paper): FedHiSyn needs the fewest normalised rounds in
 // every setting and the gap widens with more Non-IID data, lower
@@ -111,4 +104,7 @@ int run(const fedhisyn::Flags& flags,
 
 }  // namespace
 
-int main(int argc, char** argv) { return fedhisyn::exp::run_driver(argc, argv, run); }
+int main(int argc, char** argv) {
+  using namespace fedhisyn::exp;
+  return run_driver(argc, argv, grid_flags({kDatasetFlag, kPartFlag, kPartitionFlag}), run);
+}

@@ -14,8 +14,9 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/convex.hpp"
+#include "exp/driver.hpp"
 
-int main() {
+static int run(const fedhisyn::Flags&, const fedhisyn::exp::GridDriverOptions&) {
   using namespace fedhisyn;
   constexpr std::size_t kDevices = 20;
   constexpr std::size_t kDim = 10;
@@ -68,3 +69,5 @@ int main() {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return fedhisyn::exp::run_driver(argc, argv, {}, run); }

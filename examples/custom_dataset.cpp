@@ -16,9 +16,10 @@
 #include "core/runner.hpp"
 #include "data/divergence.hpp"
 #include "data/partition.hpp"
+#include "exp/driver.hpp"
 #include "nn/models.hpp"
 
-int main() {
+static int run(const fedhisyn::Flags&, const fedhisyn::exp::GridDriverOptions&) {
   using namespace fedhisyn;
   Rng rng(2024);
 
@@ -94,3 +95,5 @@ int main() {
               "the server traffic is identical to FedAvg's per round.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return fedhisyn::exp::run_driver(argc, argv, {}, run); }

@@ -12,9 +12,10 @@
 #include "common/table.hpp"
 #include "core/fedhisyn_algo.hpp"
 #include "core/presets.hpp"
+#include "exp/driver.hpp"
 #include "sim/ring.hpp"
 
-int main() {
+static int run(const fedhisyn::Flags&, const fedhisyn::exp::GridDriverOptions&) {
   using namespace fedhisyn;
 
   // A 20-device fleet whose achievable epochs per round span the paper's
@@ -85,3 +86,5 @@ int main() {
               "the straggler effect becomes useful work inside fast rings.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return fedhisyn::exp::run_driver(argc, argv, {}, run); }

@@ -73,4 +73,6 @@ int run(const fedhisyn::Flags&,
 
 }  // namespace
 
-int main(int argc, char** argv) { return fedhisyn::exp::run_driver(argc, argv, run); }
+int main(int argc, char** argv) {
+  return fedhisyn::exp::run_driver(argc, argv, fedhisyn::exp::grid_flags(), run);
+}

@@ -35,7 +35,7 @@
 //                            log lines on stderr (--quiet sets this so child
 //                            workers inherit it).
 // The grid backend, its concurrency, worker endpoints and tracing are
-// command-line flags only (exp/driver.hpp): --dispatch, --grid-jobs,
+// command-line flags only (docs/CONFIG.md): --dispatch, --grid-jobs,
 // --workers, --trace.
 #pragma once
 

@@ -1,5 +1,6 @@
 #include "exp/driver.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +20,17 @@
 namespace fedhisyn::exp {
 
 namespace {
+
+// The shared flag declarations (with kDatasetFlag, kPartFlag and
+// kPartitionFlag in driver.hpp); tools/lint_docs.py keeps them equal to the
+// flag table of docs/CONFIG.md.  Every binary takes these:
+constexpr FlagDecl kCommonFlags[] = {"help",          "threads=N",    "gemm-kernel=K",
+                                     "gemm-info",     "list-methods", "worker-cell",
+                                     "serve=[BIND:]PORT"};
+// ... and a binary whose sweep runs through run_grid also these:
+constexpr FlagDecl kGridFlags[] = {"grid-jobs=N", "dispatch=MODE",    "workers=H:P,...",
+                                   "out=PATH",    "resume",           "quiet",
+                                   "trace=FILE",  "metrics-out=FILE", "build-cache-mb=M"};
 
 std::vector<std::string> split_list(const std::string& text) {
   std::vector<std::string> items;
@@ -83,16 +95,12 @@ GridDriverOptions handle_grid_flags(const Flags& flags) {
     std::exit(0);
   }
   if (flags.has("threads")) {
-    const long threads = flags.get_long("threads", 0);
-    FEDHISYN_CHECK_MSG(threads > 0, "--threads takes a positive thread count, got "
-                                        << threads);
-    ParallelExecutor::global().set_thread_count(static_cast<std::size_t>(threads));
+    ParallelExecutor::global().set_thread_count(
+        static_cast<std::size_t>(flags.get_long("threads", 0, 1)));
   }
   GridDriverOptions options;
   GridScheduler::Options& scheduler = options.scheduler;
-  const long jobs = flags.get_long("grid-jobs", 1);
-  FEDHISYN_CHECK_MSG(jobs > 0, "--grid-jobs takes a positive cell count, got " << jobs);
-  scheduler.jobs = static_cast<std::size_t>(jobs);
+  scheduler.jobs = static_cast<std::size_t>(flags.get_long("grid-jobs", 1, 1));
   options.out = flags.get("out", "");
   if (flags.has("dispatch")) {
     const std::string mode = flags.get("dispatch", "thread");
@@ -117,10 +125,27 @@ GridDriverOptions handle_grid_flags(const Flags& flags) {
   return options;
 }
 
-int run_driver(int argc, char** argv,
+std::vector<FlagDecl> grid_flags(std::initializer_list<FlagDecl> own) {
+  std::vector<FlagDecl> flags(std::begin(kGridFlags), std::end(kGridFlags));
+  flags.insert(flags.end(), own.begin(), own.end());
+  return flags;
+}
+
+int run_driver(int argc, char** argv, std::vector<FlagDecl> own_flags,
                int (*body)(const Flags& flags, const GridDriverOptions& options)) {
   try {
+    own_flags.insert(own_flags.begin(), std::begin(kCommonFlags), std::end(kCommonFlags));
     const Flags flags = Flags::parse(argc - 1, argv + 1);
+    flags.check_declared(own_flags);
+    if (flags.get_bool("help")) {
+      std::printf("usage: %s [flags]   (docs/CONFIG.md describes them)\n", argv[0]);
+      for (const FlagDecl decl : own_flags) {
+        std::string line = "  --" + std::string(decl);
+        std::replace(line.begin(), line.end(), '=', ' ');
+        std::printf("%s\n", line.c_str());
+      }
+      return 0;
+    }
     return body(flags, handle_grid_flags(flags));
   } catch (const CheckError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

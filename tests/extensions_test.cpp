@@ -2,6 +2,7 @@
 // heavy-ball momentum, and the FedAsync staleness-aware baseline.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdio>
 #include <fstream>
 
@@ -93,6 +94,61 @@ TEST(Flags, MalformedNumbersFailLoudly) {
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("--m='4x'"), std::string::npos);
+  }
+}
+
+TEST(Flags, NumbersOutsideTheirBoundsFailNamingTheFlag) {
+  const char* argv[] = {"--rounds=99999999999", "--clusters=-1", "--k=4"};
+  const auto flags = Flags::parse(3, argv);
+  EXPECT_EQ(flags.get_long("k", 0, 1, 4), 4);
+  EXPECT_EQ(flags.get_long("absent", -7, 1, 4), -7);  // the fallback is the caller's
+  for (const std::string key : {"rounds", "clusters"}) {
+    try {
+      flags.get_long(key, 0, 1, INT_MAX);
+      FAIL() << "expected CheckError for --" << key;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("--" + key + "="), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Flags, CheckDeclaredAcceptsExactlyTheDeclaredFlags) {
+  const std::vector<FlagDecl> declared = {"threads=N", "out=PATH", "resume"};
+  const char* good[] = {"--threads", "2", "--out=r.jsonl", "--resume"};
+  EXPECT_NO_THROW(Flags::parse(4, good).check_declared(declared));
+  EXPECT_NO_THROW(Flags::parse(0, good).check_declared(declared));
+
+  // Each bad command line check-fails with a message naming what is wrong.
+  const std::vector<std::pair<std::vector<const char*>, std::string>> bad = {
+      {{"--bogus-flag", "1"}, "unknown flag --bogus-flag"},
+      {{"--threads=2", "--threads=3"}, "--threads is given twice"},
+      {{"--resume", "--resume"}, "--resume is given twice"},
+      {{"results.jsonl"}, "unexpected argument 'results.jsonl'"},
+      {{"--out"}, "--out takes a value"},
+      {{"--out="}, "--out takes a value"},
+      {{"--out", "--resume"}, "--out takes a value"},
+      {{"--resume", "results.jsonl"}, "--resume='results.jsonl'"},
+  };
+  for (const auto& [argv, expected] : bad) {
+    const auto flags = Flags::parse(static_cast<int>(argv.size()), argv.data());
+    try {
+      flags.check_declared(declared);
+      FAIL() << "expected CheckError: " << expected;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(Flags, CheckDeclaredRejectsANameDeclaredTwice) {
+  const auto flags = Flags::parse(0, nullptr);
+  try {
+    flags.check_declared({"out=PATH", "resume", "out=FILE"});
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("--out is declared twice"), std::string::npos)
+        << e.what();
   }
 }
 

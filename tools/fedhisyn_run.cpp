@@ -5,36 +5,9 @@
 //                --participation 0.5 --clusters 10 --rounds 50
 //                --history-csv run.csv --save-model final.fhsw
 //
-// Flags (all optional; defaults follow the paper's §6.1 setting):
-//   --dataset NAME        mnist|emnist|cifar10|cifar100        [mnist]
-//   --method NAME         any registered algorithm              [FedHiSyn]
-//   --list-methods        print the registered algorithms and exit
-//   --rounds N            aggregation rounds                    [suite default]
-//   --devices N           fleet size                            [scale default]
-//   --iid                 IID partition (default: Dirichlet)
-//   --beta X              Dirichlet concentration               [0.3]
-//   --participation X     per-round participation prob.         [1.0]
-//   --clusters K          number of k-means classes             [10]
-//   --lr X / --epochs N / --batch N                             [0.1 / 5 / 50]
-//   --momentum X          heavy-ball momentum for local SGD     [0]
-//   --threads N           worker-pool size (also: FEDHISYN_THREADS env)
-//   --ring-order NAME     small-to-large|large-to-small|random  [small-to-large]
-//   --aggregation NAME    uniform|time|sample                   [uniform]
-//   --heterogeneity H     use an exact-ratio fleet instead of the
-//                         5..50-epochs fleet
-//   --cnn                 use the paper's CNN (image suites)
-//   --seed N                                                    [1]
-//   --target X            rounds-to-target accuracy             [suite default]
-//   --eval-every N                                              [1]
-//   --out PATH            result as one JSONL line (or CSV with *.csv)
-//   --trace PATH          Chrome-trace timeline of the run
-//   --metrics-out PATH    counter/histogram registry dump (see exp/driver.hpp)
-//   --history-csv PATH    write the per-round history as CSV
-//   --save-model PATH     save the final global weights (.fhsw)
-//
-// Like every grid driver, the binary also understands the hidden
-// --worker-cell flag (become a process-dispatch worker; see
-// exp/dispatch.hpp) so it can serve cells for a --dispatch=process parent.
+// Every flag is optional; `--help` lists them and docs/CONFIG.md
+// ("fedhisyn_run flags") describes each with its default.
+#include <climits>
 #include <cstdio>
 #include <fstream>
 
@@ -53,8 +26,8 @@
 
 namespace {
 
-// Shared grid-driver flags (--threads, --list-methods, --out, ...) arrive
-// resolved in `grid_options`.
+// The shared flags (--threads, --list-methods, ...) and --out, --trace and
+// --metrics-out arrive resolved in `grid_options`.
 int run_experiment(const fedhisyn::Flags& flags,
                    const fedhisyn::exp::GridDriverOptions& grid_options) {
   using namespace fedhisyn;
@@ -63,10 +36,10 @@ int run_experiment(const fedhisyn::Flags& flags,
   spec.build.dataset = flags.get("dataset", "mnist");
   spec.build.scale = core::default_scale(spec.build.dataset, full_scale_enabled());
   if (flags.has("rounds")) {
-    spec.build.scale.rounds = static_cast<int>(flags.get_long("rounds", 0));
+    spec.build.scale.rounds = static_cast<int>(flags.get_long("rounds", 0, 1, INT_MAX));
   }
   if (flags.has("devices")) {
-    spec.build.scale.devices = static_cast<std::size_t>(flags.get_long("devices", 0));
+    spec.build.scale.devices = static_cast<std::size_t>(flags.get_long("devices", 0, 1));
   }
   spec.build.partition.iid = flags.get_bool("iid", false);
   spec.build.partition.beta = flags.get_double("beta", 0.3);
@@ -75,21 +48,21 @@ int run_experiment(const fedhisyn::Flags& flags,
     spec.build.fleet_ratio_h = flags.get_double("heterogeneity", 10.0);
   }
   spec.build.use_cnn = flags.get_bool("cnn", false);
-  spec.with_seed(static_cast<std::uint64_t>(flags.get_long("seed", 1)));
+  spec.with_seed(static_cast<std::uint64_t>(flags.get_long("seed", 1, 0)));
 
   spec.method = flags.get("method", "FedHiSyn");
   spec.opts.lr = static_cast<float>(flags.get_double("lr", 0.1));
-  spec.opts.local_epochs = static_cast<int>(flags.get_long("epochs", 5));
-  spec.opts.batch_size = static_cast<int>(flags.get_long("batch", 50));
+  spec.opts.local_epochs = static_cast<int>(flags.get_long("epochs", 5, 1, INT_MAX));
+  spec.opts.batch_size = static_cast<int>(flags.get_long("batch", 50, 1, INT_MAX));
   spec.opts.participation = flags.get_double("participation", 1.0);
-  spec.opts.clusters = static_cast<std::size_t>(flags.get_long("clusters", 10));
+  spec.opts.clusters = static_cast<std::size_t>(flags.get_long("clusters", 10, 1));
   spec.opts.momentum = static_cast<float>(flags.get_double("momentum", 0.0));
   spec.opts.ring_order = sim::ring_order_from_name(flags.get("ring-order", "small-to-large"));
   spec.opts.aggregation = core::aggregation_from_name(flags.get("aggregation", "uniform"));
   if (flags.has("target")) {
     spec.target = static_cast<float>(flags.get_double("target", 0.5));
   }
-  spec.eval_every = static_cast<int>(flags.get_long("eval-every", 1));
+  spec.eval_every = static_cast<int>(flags.get_long("eval-every", 1, 1, INT_MAX));
 
   std::printf("%s on %s: %zu devices, %s partition, %.0f%% participation, %d rounds\n",
               spec.method.c_str(), spec.build.dataset.c_str(), spec.build.scale.devices,
@@ -143,5 +116,12 @@ int run_experiment(const fedhisyn::Flags& flags,
 }  // namespace
 
 int main(int argc, char** argv) {
-  return fedhisyn::exp::run_driver(argc, argv, run_experiment);
+  return fedhisyn::exp::run_driver(
+      argc, argv,
+      {"dataset=NAME", "method=NAME", "rounds=N", "devices=N", "iid", "beta=X",
+       "participation=X", "clusters=K", "lr=X", "epochs=N", "batch=N", "momentum=X",
+       "ring-order=NAME", "aggregation=NAME", "heterogeneity=H", "cnn", "seed=N",
+       "target=X", "eval-every=N", "out=PATH", "trace=FILE", "metrics-out=FILE",
+       "history-csv=PATH", "save-model=PATH"},
+      run_experiment);
 }

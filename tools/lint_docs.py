@@ -13,6 +13,11 @@ This linter makes each of those a build failure instead of rot:
   env-stale         every FEDHISYN_* token mentioned in docs/CONFIG.md must
                     still occur as a quoted literal somewhere in src/ — a
                     knob removed from the code must leave the table too.
+  flag-undocumented every shared flag declared in src/ (a `FlagDecl`
+                    constant or array: "name=VALUE" or "name") must have a
+                    row in the "## Shared flags" table of docs/CONFIG.md.
+  flag-stale        every `--name` row of that table must still be declared
+                    by a `FlagDecl` in src/.
   path-missing      every backtick-quoted token in docs/*.md and README.md
                     that looks like a repo path (src/..., tests/...,
                     bench/..., tools/..., docs/..., examples/...,
@@ -52,6 +57,13 @@ PATH_TOKEN = re.compile(
 )
 LINE_REF = re.compile(r":\d+(?:-\d+)?$")
 
+# A shared flag declaration: `FlagDecl kName = "name=VALUE";` or
+# `FlagDecl kNames[] = {"name", ...};`.  The flag's name ends at '='.
+FLAG_DECL = re.compile(r'\bFlagDecl\s+\w+\s*(?:\[\s*\])?\s*=\s*(\{[^}]*\}|"[^"]*")')
+FLAG_NAME = re.compile(r'"([^"=]+)(?:=[^"]*)?"')
+FLAG_SECTION = "## Shared flags"
+FLAG_ROW = re.compile(r"^\|\s*`--([a-z0-9-]+)")
+
 
 def iter_files(root, suffixes):
     for directory, _, files in sorted(os.walk(root)):
@@ -71,6 +83,34 @@ def src_env_literals(root):
                 for var in ENV_LITERAL.findall(line):
                     found.setdefault(var, f"{rel}:{number}")
     return found
+
+
+def src_flag_decls(root):
+    """{flag name: 'path:line' declaring it} for FlagDecl literals in src/."""
+    found = {}
+    for path in iter_files(os.path.join(root, "src"), SOURCE_SUFFIXES):
+        rel = os.path.relpath(path, root)
+        with open(path, encoding="utf-8", errors="replace") as handle:
+            text = handle.read()
+        for match in FLAG_DECL.finditer(text):
+            number = text.count("\n", 0, match.start()) + 1
+            for name in FLAG_NAME.findall(match.group(1)):
+                found.setdefault(name, f"{rel}:{number}")
+    return found
+
+
+def config_flag_rows(config_text):
+    """{flag name: line number} for the rows of the shared-flag table."""
+    rows = {}
+    in_section = False
+    for number, line in enumerate(config_text.splitlines(), start=1):
+        if line.startswith("## "):
+            in_section = line.strip() == FLAG_SECTION
+        elif in_section:
+            match = FLAG_ROW.match(line)
+            if match:
+                rows.setdefault(match.group(1), number)
+    return rows
 
 
 def doc_files(root):
@@ -136,6 +176,20 @@ def lint(root):
             '"FEDHISYN_..." literal in src/ reads it'
         )
 
+    declared = src_flag_decls(root)
+    rows = config_flag_rows(config_text)
+    if config_text:
+        for name in sorted(set(declared) - set(rows)):
+            violations.append(
+                f"{declared[name]}: [flag-undocumented] --{name} is declared "
+                f"here but has no row under '{FLAG_SECTION}' in {CONFIG_MD}"
+            )
+    for name in sorted(set(rows) - set(declared)):
+        violations.append(
+            f"{CONFIG_MD}:{rows[name]}: [flag-stale] --{name} has a row but "
+            "no FlagDecl in src/ declares it"
+        )
+
     for doc in doc_files(root):
         rel_doc = os.path.relpath(doc, root)
         for number, token in doc_path_tokens(doc):
@@ -189,13 +243,20 @@ def self_test():
                 failures.append(f"{label}: no violation matching {fragment!r} "
                                 f"in {violations}")
 
-    # Clean tree: documented env vars, existing paths, line refs, globs.
+    # Clean tree: documented env vars and flags, existing paths, line refs,
+    # globs; a flag row outside the shared-flag section is not checked.
     with tempfile.TemporaryDirectory(prefix="lint_docs_") as root:
         write(root, "src/knobs.cpp",
               'const char* a = std::getenv("FEDHISYN_ALPHA");\n'
-              '// FEDHISYN_CHECK(x) — unquoted macro tokens are not env vars\n')
+              '// FEDHISYN_CHECK(x) — unquoted macro tokens are not env vars\n'
+              'constexpr FlagDecl kFlags[] = {"alpha=N",\n    "beta"};\n'
+              'inline constexpr FlagDecl kGamma = "gamma=a,b";\n'
+              'using FlagDecl = std::string_view;\n')
         write(root, "docs/CONFIG.md",
-              "| `FEDHISYN_ALPHA` | does alpha things |\n")
+              "| `FEDHISYN_ALPHA` | does alpha things |\n"
+              "## Shared flags\n| Flag | What |\n|---|---|\n"
+              "| `--alpha N` | a |\n| `--beta` | b |\n| `--gamma a,b` | g |\n"
+              "## Tool flags\n| `--local` | not a shared flag |\n")
         write(root, "docs/GUIDE.md",
               "See `src/knobs.cpp:1` and the sources under `src/*.cpp`.\n"
               "```sh\npython3 tools/lint.py --root .\n```\n")
@@ -208,14 +269,20 @@ def self_test():
         write(root, "src/knobs.cpp",
               'std::getenv("FEDHISYN_ALPHA");\n'
               'std::getenv("FEDHISYN_UNDOCUMENTED");\n')
+        write(root, "src/flags.cpp",
+              'constexpr FlagDecl kFlags[] = {"alpha=N", "undeclared-row=N"};\n')
         write(root, "docs/CONFIG.md",
               "| `FEDHISYN_ALPHA` | fine |\n"
-              "| `FEDHISYN_REMOVED` | knob deleted from src/ |\n")
+              "| `FEDHISYN_REMOVED` | knob deleted from src/ |\n"
+              "## Shared flags\n| `--alpha N` | fine |\n"
+              "| `--removed-flag` | flag deleted from src/ |\n")
         write(root, "docs/GUIDE.md",
               "Read `src/gone.cpp` and `bench/nothing_*.json`.\n")
         expect("each rule fires", lint(root),
                "[env-undocumented] FEDHISYN_UNDOCUMENTED",
                "[env-stale] FEDHISYN_REMOVED",
+               "[flag-undocumented] --undeclared-row",
+               "[flag-stale] --removed-flag",
                "[path-missing] 'src/gone.cpp'",
                "[path-missing] glob 'bench/nothing_*.json'")
 
@@ -232,7 +299,7 @@ def self_test():
         for failure in failures:
             print(f"self-test FAIL: {failure}")
         return 1
-    print("self-test OK: all 3 rules fire and clean fixtures stay clean")
+    print("self-test OK: all 5 rules fire and clean fixtures stay clean")
     return 0
 
 
